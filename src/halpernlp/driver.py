@@ -24,17 +24,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import LpSpace
-from .mappings import (
-    BlendMap,
-    BlendSequence,
-    MappingSequence,
-    ResolventSequence,
-)
+from .mappings import BlendSequence, MappingSequence, ResolventSequence
 from .schedules import Schedule, validate_anchor_weights
 from .sets import AffineSet, ConvexSet, WholeSpace, generalized_projection
 from . import tolerances
@@ -103,6 +98,19 @@ class HalpernConfig:
             object.__setattr__(self, "reference", self.space.check(self.reference))
 
 
+# Per-step trace columns: (IterationTrace attribute, CSV header, type).
+TRACE_COLUMNS = (
+    ("n", "n", int),
+    ("alpha", "alpha_n", float),
+    ("phi_w_x", "phi_w_xn", float),
+    ("res_fixed_point", "res_fixed_point", float),
+    ("res_y_vs_sx", "res_y_minus_Sx", float),
+    ("slack_b", "slack_b", float),
+    ("slack_c", "slack_c", float),
+    ("inner_iters", "inner_iters", int),
+)
+
+
 @dataclass
 class IterationTrace:
     status: RunStatus
@@ -131,15 +139,6 @@ class IterationTrace:
         return float(min(np.min(self.slack_b), np.min(self.slack_c)))
 
 
-def _uc_ft_gap(space: LpSpace, beta: float, jx, jtx, jsx) -> float:
-    """beta ||Jx||^2 + (1-beta) ||JTx||^2 - ||J S x||^2, in dual norms."""
-    return (
-        beta * space.dual_norm(jx) ** 2
-        + (1.0 - beta) * space.dual_norm(jtx) ** 2
-        - space.dual_norm(jsx) ** 2
-    )
-
-
 def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, warm=None):
     """One step of the scheme; returns (x_next, y, diagnostics dict)."""
     space = cfg.space
@@ -154,10 +153,7 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, warm=None):
     y = space.inverse_duality_map(jy)
     if cfg.perturb_step:
         y = y + cfg.perturb_step
-    if isinstance(cfg.constraint, WholeSpace):
-        x_next = y
-        proj_converged, proj_iters = True, 0
-    elif cfg.constraint.contains(y, 0.0):
+    if cfg.constraint.contains(y, 0.0):
         x_next = y
         proj_converged, proj_iters = True, 0
     else:
@@ -176,6 +172,7 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, warm=None):
     )
 
     diag = {
+        "n": n,
         "alpha": a,
         "sx": sx,
         "phi_w_x": phi_w_xn,
@@ -185,13 +182,8 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, warm=None):
         "slack_c": slack_c,
         "inner_iters": applied.inner_iterations + proj_iters,
         "inner_converged": applied.converged and proj_converged,
+        **mapping.step_diagnostics(space, x, jsx),
     }
-    if isinstance(mapping, BlendMap) and mapping.beta < 1.0:
-        jx = space.duality_map(x)
-        beta = mapping.beta
-        jtx = (jsx - beta * jx) / (1.0 - beta)  # recover J(Tx) from the blend
-        diag["uc_ft_gap"] = _uc_ft_gap(space, beta, jx, jtx, jsx)
-        diag["j_gap"] = space.dual_norm(jx - jtx)
     return x_next, y, diag
 
 
@@ -200,24 +192,11 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
     w = cfg.reference
     bound = max(space.lyapunov(w, cfg.start), space.lyapunov(w, cfg.anchor))
 
-    cols = {
-        k: []
-        for k in (
-            "n",
-            "alpha",
-            "phi_w_x",
-            "res_fixed_point",
-            "res_y_vs_sx",
-            "slack_b",
-            "slack_c",
-            "inner_iters",
-        )
-    }
+    cols = {attr: [] for attr, _, _ in TRACE_COLUMNS}
     uc_gaps: list[float] = []
     j_gaps: list[float] = []
     snapshots = []
     stride = max(1, math.ceil(cfg.max_iter / 1000))
-    is_blend = isinstance(cfg.sequence, BlendSequence)
 
     x = cfg.start.copy()
     warm = None
@@ -227,17 +206,8 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
     for n in range(1, cfg.max_iter + 1):
         x_next, y, diag = halpern_step(cfg, n, x, warm=warm)
         warm = diag["sx"]
-        cols["n"].append(n)
-        for k in (
-            "alpha",
-            "phi_w_x",
-            "res_fixed_point",
-            "res_y_vs_sx",
-            "slack_b",
-            "slack_c",
-            "inner_iters",
-        ):
-            cols[k].append(diag[k])
+        for attr in cols:
+            cols[attr].append(diag[attr])
         if "uc_ft_gap" in diag:
             uc_gaps.append(diag["uc_ft_gap"])
             j_gaps.append(diag["j_gap"])
@@ -254,38 +224,22 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
             status = RunStatus.CONVERGED
             break
 
-    uc_flagged = False
-    if is_blend and uc_gaps:
-        lo = getattr(cfg.sequence, "beta_lo")
-        hi = getattr(cfg.sequence, "beta_hi")
-        if lo * (1.0 - hi) > 0:
-            tail = max(1, len(uc_gaps) // 10)
-            for g, jg in zip(uc_gaps[-tail:], j_gaps[-tail:]):
-                if g < 1e-8 and jg > 1e-3:
-                    uc_flagged = True
-                    break
-
-    trace = IterationTrace(
+    return IterationTrace(
         status=status,
         iterations=n_done,
         final_x=x,
         reference=w,
-        n=np.asarray(cols["n"], dtype=int),
-        alpha=np.asarray(cols["alpha"]),
-        phi_w_x=np.asarray(cols["phi_w_x"]),
-        res_fixed_point=np.asarray(cols["res_fixed_point"]),
-        res_y_vs_sx=np.asarray(cols["res_y_vs_sx"]),
-        slack_b=np.asarray(cols["slack_b"]),
-        slack_c=np.asarray(cols["slack_c"]),
-        inner_iters=np.asarray(cols["inner_iters"], dtype=int),
+        **{
+            attr: np.asarray(cols[attr], dtype=kind)
+            for attr, _, kind in TRACE_COLUMNS
+        },
         uc_ft_gap=np.asarray(uc_gaps) if uc_gaps else None,
         snapshots=snapshots,
         boundedness_violation=bound_violation,
         final_error=space.norm(x - w),
         final_phi=space.lyapunov(w, x),
-        uc_ft_flagged=uc_flagged,
+        uc_ft_flagged=cfg.sequence.uc_ft_flagged(uc_gaps, j_gaps),
     )
-    return trace
 
 
 def run_proximal_point(cfg: HalpernConfig) -> IterationTrace:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .driver import HalpernConfig, IterationTrace, RunStatus, run_halpern
+from .driver import TRACE_COLUMNS, HalpernConfig, IterationTrace, RunStatus, run_halpern
 from .geometry import LpSpace
 from .mappings import BlendSequence, MappingSequence, ResolventMap, ResolventSequence
 from .operators import DualityResidual, GradientOfQuadratic, LinearMonotone
@@ -43,15 +43,19 @@ EXIT_SLACK_VIOLATION = 3
 EXIT_INNER_FAILURE = 4
 EXIT_IO_ERROR = 5
 
-CSV_COLUMNS = (
-    "n",
-    "alpha_n",
-    "phi_w_xn",
-    "res_fixed_point",
-    "res_y_minus_Sx",
-    "slack_b",
-    "slack_c",
-    "inner_iters",
+CSV_COLUMNS = tuple(header for _, header, _ in TRACE_COLUMNS)
+
+# Summary columns: (RunSummary attribute, TSV header, format spec).
+_SUMMARY_COLUMNS = (
+    ("experiment_id", "id", ""),
+    ("status", "status", ""),
+    ("iterations", "iterations", ""),
+    ("final_error", "final_error", ".6e"),
+    ("final_phi", "final_phi", ".6e"),
+    ("min_slack", "min_slack", ".6e"),
+    ("wall_clock", "wall_clock_s", ".3f"),
+    ("seed", "seed", ""),
+    ("exit_code", "exit_code", ""),
 )
 
 
@@ -89,34 +93,12 @@ class RunSummary:
 
     def as_tsv(self) -> str:
         return "\t".join(
-            [
-                self.experiment_id,
-                self.status,
-                str(self.iterations),
-                f"{self.final_error:.6e}",
-                f"{self.final_phi:.6e}",
-                f"{self.min_slack:.6e}",
-                f"{self.wall_clock:.3f}",
-                str(self.seed),
-                str(self.exit_code),
-            ]
+            format(getattr(self, attr), spec) for attr, _, spec in _SUMMARY_COLUMNS
         )
 
     @staticmethod
     def tsv_header() -> str:
-        return "\t".join(
-            [
-                "id",
-                "status",
-                "iterations",
-                "final_error",
-                "final_phi",
-                "min_slack",
-                "wall_clock_s",
-                "seed",
-                "exit_code",
-            ]
-        )
+        return "\t".join(header for _, header, _ in _SUMMARY_COLUMNS)
 
 
 def _build_schedule(section: dict, problems: list) -> Schedule | None:
@@ -135,6 +117,8 @@ def _build_schedule(section: dict, problems: list) -> Schedule | None:
         problems.append(f"unknown schedule kind: {kind!r}")
     except KeyError as e:
         problems.append(f"schedule {kind!r} missing field {e}")
+    except (TypeError, ValueError) as e:
+        problems.append(f"schedule {kind!r}: {e}")
     return None
 
 
@@ -197,6 +181,14 @@ def _resolve_point(spec, rng: np.random.Generator, dim: int, problems: list, nam
         return None
 
 
+def _parse_number(value, kind, name: str, problems: list):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        problems.append(f"{name}: {e}")
+        return None
+
+
 def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     path = Path(path)
     try:
@@ -214,8 +206,8 @@ def config_from_dict(
     problems: list[str] = []
 
     exp_id = str(raw.get("id", default_id))
-    seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
-    rng = np.random.default_rng(seed)
+    seed = seed_override if seed_override is not None else raw.get("seed", 0)
+    seed = _parse_number(seed, int, "seed", problems)
 
     space = None
     sp = raw.get("space", {})
@@ -225,7 +217,7 @@ def config_from_dict(
         problems.append(f"space: {e}")
 
     scheme = raw.get("scheme")
-    if scheme not in ("halpern_generic", "proximal_point", "halpern_mann"):
+    if scheme not in ("proximal_point", "halpern_mann"):
         problems.append(f"unknown scheme: {scheme!r}")
 
     sched_section = raw.get("schedules", {})
@@ -258,27 +250,24 @@ def config_from_dict(
                     )
                     if beta:
                         sequence = BlendSequence(inner=inner, beta_schedule=beta)
-            elif scheme == "halpern_generic":
-                r_sched = _build_schedule(
-                    sched_section.get("r", {"kind": "constant", "value": 1.0}), problems
-                )
-                if r_sched:
-                    sequence = ResolventSequence(op=op, r_schedule=r_sched)
         except (ScheduleValidationError, ValueError) as e:
             problems.append(str(e))
 
     budgets = raw.get("budgets", {})
-    max_iter = int(budgets.get("max_iter", 100_000))
-    stop_tol = float(budgets.get("stop_tol", 1e-3))
+    max_iter = _parse_number(budgets.get("max_iter", 100_000), int, "budgets.max_iter", problems)
+    stop_tol = _parse_number(budgets.get("stop_tol", 1e-3), float, "budgets.stop_tol", problems)
+    perturb = _parse_number(
+        raw.get("debug", {}).get("perturb_step", 0.0), float, "debug.perturb_step", problems
+    )
 
     halpern = None
     if space and sequence and constraint is not None and alpha and not problems:
+        rng = np.random.default_rng(seed)
         start_section = raw.get("start", {})
         u = _resolve_point(start_section.get("u", "seeded"), rng, space.dim, problems, "u")
         x1 = _resolve_point(start_section.get("x1", "seeded"), rng, space.dim, problems, "x1")
         if x1 is not None:
             x1 = constraint.euclidean_project(x1)
-        perturb = float(raw.get("debug", {}).get("perturb_step", 0.0))
         if u is not None and x1 is not None:
             try:
                 halpern = HalpernConfig(
@@ -300,27 +289,12 @@ def config_from_dict(
     return ExperimentConfig(experiment_id=exp_id, seed=seed, scheme=scheme, halpern=halpern)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_trace_csv(trace: IterationTrace, path: Path) -> None:
+    cols = [(getattr(trace, attr), kind) for attr, _, kind in TRACE_COLUMNS]
     lines = ["# halpernlp trace schema v1", ",".join(CSV_COLUMNS)]
     for i in range(trace.n.size):
-        lines.append(
-            ",".join(
-                [
-                    str(int(trace.n[i])),
-                    _fmt(trace.alpha[i]),
-                    _fmt(trace.phi_w_x[i]),
-                    _fmt(trace.res_fixed_point[i]),
-                    _fmt(trace.res_y_vs_sx[i]),
-                    _fmt(trace.slack_b[i]),
-                    _fmt(trace.slack_c[i]),
-                    str(int(trace.inner_iters[i])),
-                ]
-            )
-        )
+        cells = (str(int(c[i])) if kind is int else f"{c[i]:.17g}" for c, kind in cols)
+        lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
 
 

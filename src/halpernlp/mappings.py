@@ -17,7 +17,6 @@ from .geometry import LpSpace
 from .operators import MonotoneOperator, resolvent
 from .sets import AffineSet, ConvexSet, generalized_projection
 from .schedules import Schedule, validate_blend_weights, validate_resolvent_radii
-from . import tolerances
 
 
 @dataclass
@@ -34,6 +33,10 @@ class Mapping:
     def fixed_point_reference(self, space: LpSpace):
         """A known fixed point, or an AffineSet of them."""
         raise NotImplementedError
+
+    def step_diagnostics(self, space: LpSpace, x, jsx) -> dict:
+        """Extra per-step diagnostics at x, given J(S x); none by default."""
+        return {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +93,21 @@ class BlendMap(Mapping):
     def fixed_point_reference(self, space):
         return self.inner.fixed_point_reference(space)
 
+    def step_diagnostics(self, space, x, jsx):
+        """The convexity gap of the blend and ||Jx - J(Tx)||_q, for beta < 1."""
+        if self.beta == 1.0:
+            return {}
+        beta = self.beta
+        jx = space.duality_map(x)
+        jtx = (jsx - beta * jx) / (1.0 - beta)  # recover J(Tx) from the blend
+        # beta ||Jx||^2 + (1-beta) ||JTx||^2 - ||J S x||^2, in dual norms
+        uc_ft_gap = (
+            beta * space.dual_norm(jx) ** 2
+            + (1.0 - beta) * space.dual_norm(jtx) ** 2
+            - space.dual_norm(jsx) ** 2
+        )
+        return {"uc_ft_gap": uc_ft_gap, "j_gap": space.dual_norm(jx - jtx)}
+
 
 class MappingSequence:
     def at(self, n: int) -> Mapping:
@@ -97,6 +115,10 @@ class MappingSequence:
 
     def fixed_point_reference(self, space: LpSpace):
         raise NotImplementedError
+
+    def uc_ft_flagged(self, uc_gaps: list, j_gaps: list) -> bool:
+        """Whether a run's blend gaps contradict uniform convexity."""
+        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +144,8 @@ class BlendSequence(MappingSequence):
 
     inner: Mapping
     beta_schedule: Schedule
+    beta_lo: float = field(init=False)  # declared liminf bound of beta_n
+    beta_hi: float = field(init=False)  # declared limsup bound of beta_n
 
     def __post_init__(self):
         _, lo, hi = validate_blend_weights(self.beta_schedule)
@@ -133,6 +157,16 @@ class BlendSequence(MappingSequence):
 
     def fixed_point_reference(self, space):
         return self.inner.fixed_point_reference(space)
+
+    def uc_ft_flagged(self, uc_gaps, j_gaps):
+        """Flags a vanishing convexity gap with a non-vanishing J gap in the
+        last tenth of the run."""
+        if not uc_gaps or self.beta_lo * (1.0 - self.beta_hi) <= 0:
+            return False
+        tail = max(1, len(uc_gaps) // 10)
+        return any(
+            g < 1e-8 and jg > 1e-3 for g, jg in zip(uc_gaps[-tail:], j_gaps[-tail:])
+        )
 
 
 def apply_indexed(space: LpSpace, seq: MappingSequence, n: int, x, warm=None):

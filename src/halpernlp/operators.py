@@ -47,6 +47,10 @@ class MonotoneOperator:
         """A^{-1}0 as a point or an AffineSet; raises if empty."""
         raise NotImplementedError
 
+    def closed_form_resolvent(self, space: LpSpace, r: float, x, jx):
+        """L_r(x) in closed form, or None when Newton must solve for it."""
+        return None
+
 
 def _affine_zero_set(m: np.ndarray, rhs: np.ndarray):
     """Solution set of m @ x = rhs: a point, an AffineSet, or None if empty."""
@@ -60,8 +64,33 @@ def _affine_zero_set(m: np.ndarray, rhs: np.ndarray):
     return AffineSet(point=sol, directions=null)
 
 
+class _AffineOperator(MonotoneOperator):
+    """A(x) = B x + b0 with B positive semidefinite.
+
+    Subclasses store B as ``_bmat`` and b0 as ``_b0`` in ``__post_init__``.
+    """
+
+    def evaluate(self, space, x):
+        return self._bmat @ space.check(x) + self._b0
+
+    def jacobian(self, space, x):
+        return self._bmat
+
+    def zero_set(self, space):
+        zs = _affine_zero_set(self._bmat, -self._b0)
+        if zs is None:
+            raise ValueError("operator has no zero: B x = -b0 is inconsistent")
+        return zs
+
+    def closed_form_resolvent(self, space, r, x, jx):
+        if space.p != 2.0:
+            return None
+        # J is the identity at p = 2, so (I + rB) z = x - r b0
+        return np.linalg.solve(np.eye(space.dim) + r * self._bmat, x - r * self._b0)
+
+
 @dataclass(frozen=True, eq=False)
-class LinearMonotone(MonotoneOperator):
+class LinearMonotone(_AffineOperator):
     """A(x) = M x + b with M positive semidefinite (not necessarily symmetric)."""
 
     m: np.ndarray
@@ -70,18 +99,8 @@ class LinearMonotone(MonotoneOperator):
     def __post_init__(self):
         object.__setattr__(self, "m", _check_psd(self.m, "M"))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-
-    def evaluate(self, space, x):
-        return self.m @ space.check(x) + self.b
-
-    def jacobian(self, space, x):
-        return self.m
-
-    def zero_set(self, space):
-        zs = _affine_zero_set(self.m, -self.b)
-        if zs is None:
-            raise ValueError("operator has no zero: M x = -b is inconsistent")
-        return zs
+        object.__setattr__(self, "_bmat", self.m)
+        object.__setattr__(self, "_b0", self.b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +121,15 @@ class DualityResidual(MonotoneOperator):
     def zero_set(self, space):
         return self.z.copy()
 
+    def closed_form_resolvent(self, space, r, x, jx):
+        # Jz + r(Jz - Jz0) = Jx  =>  Jz = (Jx + r Jz0) / (1 + r)
+        return space.inverse_duality_map(
+            (jx + r * space.duality_map(self.z)) / (1.0 + r)
+        )
+
 
 @dataclass(frozen=True, eq=False)
-class GradientOfQuadratic(MonotoneOperator):
+class GradientOfQuadratic(_AffineOperator):
     """A(x) = Q x - c, the gradient of (1/2) x'Qx - c'x with Q symmetric PSD."""
 
     q: np.ndarray
@@ -116,18 +141,9 @@ class GradientOfQuadratic(MonotoneOperator):
             raise ValueError("Q must be symmetric")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-
-    def evaluate(self, space, x):
-        return self.q @ space.check(x) - self.c
-
-    def jacobian(self, space, x):
-        return self.q
-
-    def zero_set(self, space):
-        zs = _affine_zero_set(self.q, self.c)
-        if zs is None:
-            raise ValueError("operator has no zero: Q x = c is inconsistent")
-        return zs
+        object.__setattr__(self, "_bmat", q)
+        # q @ x + (-c) equals q @ x - c bit for bit
+        object.__setattr__(self, "_b0", -self.c)
 
 
 def duality_map_jacobian(space: LpSpace, x: np.ndarray) -> np.ndarray:
@@ -174,26 +190,11 @@ def resolvent(
         raise ValueError(f"resolvent parameter must be positive, got {r}")
     x = space.check(x)
     jx = space.duality_map(x)
-
-    if isinstance(op, DualityResidual):
-        # Jz + r(Jz - Jz0) = Jx  =>  Jz = (Jx + r Jz0) / (1 + r)
-        point = space.inverse_duality_map(
-            (jx + r * space.duality_map(op.z)) / (1.0 + r)
-        )
-        res = _resolvent_residual(space, op, r, point, jx)
-        return ResolventResult(point, res, 0, res <= tol)
-
-    if space.p == 2.0 and isinstance(op, (LinearMonotone, GradientOfQuadratic)):
-        # (I + rB) z = x - r b0 with A z = B z + b0
-        if isinstance(op, LinearMonotone):
-            bmat, b0 = op.m, op.b
-        else:
-            bmat, b0 = op.q, -op.c
-        point = np.linalg.solve(np.eye(space.dim) + r * bmat, x - r * b0)
-        res = _resolvent_residual(space, op, r, point, jx)
-        return ResolventResult(point, res, 0, res <= tol)
-
-    return _newton_resolvent(space, op, r, x, jx, z0, tol)
+    point = op.closed_form_resolvent(space, r, x, jx)
+    if point is None:
+        return _newton_resolvent(space, op, r, x, jx, z0, tol)
+    res = _resolvent_residual(space, op, r, point, jx)
+    return ResolventResult(point, res, 0, res <= tol)
 
 
 def _resolvent_residual(space, op, r, z, jx) -> float:

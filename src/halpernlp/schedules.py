@@ -20,6 +20,13 @@ class ScheduleValidationError(ValueError):
 
 
 class Schedule:
+    """A schedule and its declared facts; None means "not declared", and a
+    validator that needs an undeclared fact rejects the schedule."""
+
+    vanishes_with_divergent_sum: bool | None = None  # a_n -> 0, sum a_n = inf
+    lower_bound: float | None = None  # inf over n of a_n
+    limit_bounds: tuple[float, float] | None = None  # (liminf, limsup) bounds
+
     def value(self, n: int) -> float:
         raise NotImplementedError
 
@@ -39,6 +46,10 @@ class PowerSchedule(Schedule):
     c: float = 1.0
     s: float = 1.0
 
+    @property
+    def vanishes_with_divergent_sum(self):
+        return self.c > 0.0 and 0.0 < self.s <= 1.0
+
     def value(self, n):
         return self.c / float(n) ** self.s
 
@@ -49,6 +60,16 @@ class PowerSchedule(Schedule):
 @dataclass(frozen=True)
 class ConstantSchedule(Schedule):
     v: float
+
+    vanishes_with_divergent_sum = False
+
+    @property
+    def lower_bound(self):
+        return self.v
+
+    @property
+    def limit_bounds(self):
+        return self.v, self.v
 
     def value(self, n):
         return self.v
@@ -63,6 +84,10 @@ class LinearSchedule(Schedule):
 
     scale: float = 1.0
 
+    @property
+    def lower_bound(self):
+        return self.scale
+
     def value(self, n):
         return self.scale * float(n)
 
@@ -74,6 +99,14 @@ class LinearSchedule(Schedule):
 class AlternatingSchedule(Schedule):
     lo: float
     hi: float
+
+    @property
+    def lower_bound(self):
+        return min(self.lo, self.hi)
+
+    @property
+    def limit_bounds(self):
+        return min(self.lo, self.hi), max(self.lo, self.hi)
 
     def value(self, n):
         return self.lo if n % 2 == 1 else self.hi
@@ -90,6 +123,10 @@ class DriftSchedule(Schedule):
     base: float
     amp: float
 
+    @property
+    def limit_bounds(self):
+        return (self.base, self.base + self.amp) if self.amp >= 0 else None
+
     def value(self, n):
         return self.base + self.amp / float(n)
 
@@ -103,24 +140,15 @@ def _first_n_values(sched: Schedule, n: int = _VALIDATE_N) -> np.ndarray:
 
 def validate_anchor_weights(sched: Schedule) -> Schedule:
     """Hypotheses on {alpha_n}: alpha_n in (0, 1], alpha_n -> 0, sum = inf."""
-    if isinstance(sched, PowerSchedule):
-        if not 0.0 < sched.s <= 1.0:
-            raise ScheduleValidationError(
-                "anchor weights must satisfy sum alpha_n = infinity and "
-                f"alpha_n -> 0: need 0 < s <= 1, got s = {sched.s}"
-            )
-        if not 0.0 < sched.c <= 1.0:
-            raise ScheduleValidationError(
-                f"anchor weights must lie in (0, 1]: need 0 < c <= 1, got c = {sched.c}"
-            )
-    elif isinstance(sched, ConstantSchedule):
+    vanishes = sched.vanishes_with_divergent_sum
+    if vanishes is None:
         raise ScheduleValidationError(
-            "constant anchor weights violate alpha_n -> 0"
+            f"no divergence/vanishing metadata for {sched!r} anchor weights"
         )
-    else:
+    if not vanishes:
         raise ScheduleValidationError(
-            f"no divergence/vanishing metadata for {type(sched).__name__} "
-            "anchor weights"
+            "anchor weights must satisfy sum alpha_n = infinity and "
+            f"alpha_n -> 0; {sched!r} does not"
         )
     vals = _first_n_values(sched)
     if not (np.all(vals > 0.0) and np.all(vals <= 1.0)):
@@ -132,19 +160,10 @@ def validate_anchor_weights(sched: Schedule) -> Schedule:
 
 def validate_resolvent_radii(sched: Schedule) -> Schedule:
     """Hypothesis on {r_n}: inf r_n > 0."""
-    if isinstance(sched, ConstantSchedule):
-        lower = sched.v
-    elif isinstance(sched, LinearSchedule):
-        lower = sched.scale
-    elif isinstance(sched, AlternatingSchedule):
-        lower = min(sched.lo, sched.hi)
-    elif isinstance(sched, PowerSchedule):
+    lower = sched.lower_bound
+    if lower is None:
         raise ScheduleValidationError(
-            "decaying resolvent radii violate inf r_n > 0"
-        )
-    else:
-        raise ScheduleValidationError(
-            f"no positive lower bound declared for {type(sched).__name__}"
+            f"no positive lower bound declared for {sched!r}"
         )
     if lower <= 0.0:
         raise ScheduleValidationError(
@@ -161,18 +180,12 @@ def validate_blend_weights(sched: Schedule) -> tuple[Schedule, float, float]:
 
     Returns (schedule, liminf bound, limsup bound).
     """
-    if isinstance(sched, ConstantSchedule):
-        lo = hi = sched.v
-    elif isinstance(sched, AlternatingSchedule):
-        lo, hi = min(sched.lo, sched.hi), max(sched.lo, sched.hi)
-    elif isinstance(sched, DriftSchedule):
-        if sched.amp < 0:
-            raise ScheduleValidationError("blend drift amplitude must be >= 0")
-        lo, hi = sched.base, sched.base + sched.amp
-    else:
+    bounds = sched.limit_bounds
+    if bounds is None:
         raise ScheduleValidationError(
-            f"no liminf/limsup bounds declared for {type(sched).__name__}"
+            f"no liminf/limsup bounds declared for {sched!r}"
         )
+    lo, hi = bounds
     if not (0.0 < lo <= hi < 1.0):
         raise ScheduleValidationError(
             "blend weights need 0 < liminf beta_n <= limsup beta_n < 1; "

@@ -10,7 +10,7 @@ random points of C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,56 @@ class ConvexSet:
         x = self._check_dim(x)
         return float(np.linalg.norm(x - self.euclidean_project(x))) <= tol
 
+    def minimize_phi(self, space: LpSpace, x: np.ndarray):
+        """(argmin of phi(., x) over the set, iterations) for x outside it."""
+        jx = space.duality_map(x)
+
+        def h(y):
+            return space.norm(y) ** 2 - 2.0 * float(np.dot(y, jx))
+
+        y = self.euclidean_project(x)  # seed inside C, away from the origin
+        hy = h(y)
+        # gradients scale with x, so the stationarity cutoff is scale-relative
+        grad_tol = _PGD_GRAD_TOL * max(1.0, float(np.linalg.norm(jx)))
+        prev_y = None
+        prev_grad = None
+        for k in range(1, _PGD_MAX_ITER + 1):
+            grad = 2.0 * (space.duality_map(y) - jx)
+            if float(np.linalg.norm(y - self.euclidean_project(y - grad))) <= grad_tol:
+                return y, k - 1
+            # Barzilai-Borwein trial step, backtracked by Armijo halving
+            step = 1.0
+            if prev_y is not None:
+                dy = y - prev_y
+                dg = grad - prev_grad
+                denom = float(np.dot(dy, dg))
+                if denom > 0.0:
+                    step = min(max(float(np.dot(dy, dy)) / denom, 1e-12), 1e8)
+            prev_y, prev_grad = y, grad
+            while True:
+                cand = self.euclidean_project(y - step * grad)
+                hc = h(cand)
+                if hc <= hy + _ARMIJO_C * float(np.dot(grad, cand - y)):
+                    break
+                step *= 0.5
+                if step < 1e-18:
+                    # no descent at float precision: stationary for our purposes
+                    return y, k
+            y, hy = cand, hc
+        return y, _PGD_MAX_ITER
+
+    def vi_residual(self, space: LpSpace, x, proj, rng, n_probes: int) -> float:
+        """max over probe points z in C of <z - proj, Jx - J(proj)>."""
+        if rng is None:
+            rng = np.random.default_rng(0)
+        g = space.duality_map(x) - space.duality_map(proj)
+        worst = 0.0
+        scale = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(proj)))
+        for _ in range(n_probes):
+            z = self.euclidean_project(proj + scale * rng.standard_normal(space.dim))
+            worst = max(worst, float(np.dot(z - proj, g)))
+        return worst
+
 
 @dataclass(frozen=True)
 class WholeSpace(ConvexSet):
@@ -50,6 +100,10 @@ class WholeSpace(ConvexSet):
 
     def contains(self, x, tol: float = tolerances.MEMBERSHIP_TOL) -> bool:
         return True
+
+    def vi_residual(self, space, x, proj, rng, n_probes):
+        # every x is its own projection, so Jx - J(proj) vanishes
+        return 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +130,34 @@ class HalfSpace(ConvexSet):
         if excess <= 0.0:
             return x.copy()
         return x - excess / float(np.dot(self.a, self.a)) * self.a
+
+    def minimize_phi(self, space, x):
+        """The optimality condition pins the minimizer to J(y) = J(x) - t*a
+        for a single multiplier t > 0 fixed by <a, y> = b, and
+        <a, J^{-1}(Jx - t*a)> is nonincreasing in t, so a bracket-and-bisect
+        scalar solve suffices.
+        """
+        jx = space.duality_map(x)
+        a = self.a
+
+        def margin(t: float) -> float:
+            return float(np.dot(a, space.inverse_duality_map(jx - t * a))) - self.b
+
+        lo, hi = 0.0, 1.0
+        k = 0
+        while margin(hi) > 0.0:
+            lo, hi = hi, 2.0 * hi
+            k += 1
+            if hi > 1e30:
+                break
+        while hi - lo > 1e-16 * max(1.0, hi) and k < 300:
+            mid = 0.5 * (lo + hi)
+            if margin(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            k += 1
+        return space.inverse_duality_map(jx - hi * a), k
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,24 +253,6 @@ class ProjectionResult:
     converged: bool
 
 
-def _vi_residual(
-    space: LpSpace,
-    cset: ConvexSet,
-    x: np.ndarray,
-    proj: np.ndarray,
-    rng: np.random.Generator,
-    n_probes: int,
-) -> float:
-    """max over probe points z in C of <z - proj, Jx - J(proj)>."""
-    g = space.duality_map(x) - space.duality_map(proj)
-    worst = 0.0
-    scale = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(proj)))
-    for _ in range(n_probes):
-        z = cset.euclidean_project(proj + scale * rng.standard_normal(space.dim))
-        worst = max(worst, float(np.dot(z - proj, g)))
-    return worst
-
-
 def generalized_projection(
     space: LpSpace,
     cset: ConvexSet,
@@ -199,87 +263,12 @@ def generalized_projection(
 ) -> ProjectionResult:
     """Q_C(x), the unique minimizer of phi(y, x) over C."""
     x = space.check(x)
-    if isinstance(cset, WholeSpace):
-        return ProjectionResult(x.copy(), 0.0, 0, True)
-    if rng is None:
-        rng = np.random.default_rng(0)
-
     if cset.contains(x, 0.0):
         point, iters = x.copy(), 0
     elif space.p == 2.0:
         point, iters = cset.euclidean_project(x), 0
-    elif isinstance(cset, HalfSpace):
-        point, iters = _half_space_minimize(space, cset, x)
     else:
-        point, iters = _pgd_minimize(space, cset, x)
+        point, iters = cset.minimize_phi(space, x)
 
-    residual = _vi_residual(space, cset, x, point, rng, n_probes)
+    residual = cset.vi_residual(space, x, point, rng, n_probes)
     return ProjectionResult(point, residual, iters, residual <= vi_tol)
-
-
-def _half_space_minimize(space: LpSpace, cset: HalfSpace, x: np.ndarray):
-    """Minimizer over {y : <a,y> <= b} when x is outside the set.
-
-    The optimality condition pins the minimizer to J(y) = J(x) - t*a for a
-    single multiplier t > 0 fixed by <a, y> = b, and <a, J^{-1}(Jx - t*a)>
-    is nonincreasing in t, so a bracket-and-bisect scalar solve suffices.
-    """
-    jx = space.duality_map(x)
-    a = cset.a
-
-    def margin(t: float) -> float:
-        return float(np.dot(a, space.inverse_duality_map(jx - t * a))) - cset.b
-
-    lo, hi = 0.0, 1.0
-    k = 0
-    while margin(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
-        k += 1
-        if hi > 1e30:
-            break
-    while hi - lo > 1e-16 * max(1.0, hi) and k < 300:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        k += 1
-    return space.inverse_duality_map(jx - hi * a), k
-
-
-def _pgd_minimize(space: LpSpace, cset: ConvexSet, x: np.ndarray):
-    jx = space.duality_map(x)
-
-    def h(y):
-        return space.norm(y) ** 2 - 2.0 * float(np.dot(y, jx))
-
-    y = cset.euclidean_project(x)  # seed inside C, away from the origin
-    hy = h(y)
-    # gradients scale with x, so the stationarity cutoff is scale-relative
-    grad_tol = _PGD_GRAD_TOL * max(1.0, float(np.linalg.norm(jx)))
-    prev_y = None
-    prev_grad = None
-    for k in range(1, _PGD_MAX_ITER + 1):
-        grad = 2.0 * (space.duality_map(y) - jx)
-        if float(np.linalg.norm(y - cset.euclidean_project(y - grad))) <= grad_tol:
-            return y, k - 1
-        # Barzilai-Borwein trial step, backtracked by Armijo halving
-        step = 1.0
-        if prev_y is not None:
-            dy = y - prev_y
-            dg = grad - prev_grad
-            denom = float(np.dot(dy, dg))
-            if denom > 0.0:
-                step = min(max(float(np.dot(dy, dy)) / denom, 1e-12), 1e8)
-        prev_y, prev_grad = y, grad
-        while True:
-            cand = cset.euclidean_project(y - step * grad)
-            hc = h(cand)
-            if hc <= hy + _ARMIJO_C * float(np.dot(grad, cand - y)):
-                break
-            step *= 0.5
-            if step < 1e-18:
-                # no descent at float precision: stationary for our purposes
-                return y, k
-        y, hy = cand, hc
-    return y, _PGD_MAX_ITER

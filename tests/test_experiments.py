@@ -88,12 +88,25 @@ def test_rejects_blend_weights_tending_to_one():
 
 
 def test_rejects_unknown_scheme_and_operator():
-    raw = small_config(scheme="midpoint", operator={"variant": "nope"})
-    with pytest.raises(ConfigError) as exc:
-        config_from_dict(raw)
-    joined = "\n".join(exc.value.problems)
-    assert "scheme" in joined
-    assert "operator" in joined
+    for scheme in ("midpoint", "halpern_generic"):
+        raw = small_config(scheme=scheme, operator={"variant": "nope"})
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(raw)
+        joined = "\n".join(exc.value.problems)
+        assert "scheme" in joined
+        assert "operator" in joined
+
+
+def test_rejects_non_numeric_fields():
+    for key, match in (
+        ("budgets.max_iter", "budgets"),
+        ("budgets.stop_tol", "budgets"),
+        ("seed", "seed"),
+        ("debug.perturb_step", "perturb_step"),
+        ("schedules.alpha.c", "schedule"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(small_config(**{key: "lots"}))
 
 
 def test_rejects_wrong_start_shape():
@@ -128,21 +141,44 @@ def test_corrupted_step_exit_three(tmp_path):
     assert trace.min_slack < -1e-7 or trace.boundedness_violation > 1e-7
 
 
+TRACE_ATTRS = {  # CSV header -> (IterationTrace attribute, cell type)
+    "n": ("n", int),
+    "alpha_n": ("alpha", float),
+    "phi_w_xn": ("phi_w_x", float),
+    "res_fixed_point": ("res_fixed_point", float),
+    "res_y_minus_Sx": ("res_y_vs_sx", float),
+    "slack_b": ("slack_b", float),
+    "slack_c": ("slack_c", float),
+    "inner_iters": ("inner_iters", int),
+}
+
+
 def test_trace_csv_schema(tmp_path):
-    cfg = config_from_dict(small_config())
-    summary, trace = run_experiment(cfg, tmp_path)
-    lines = (tmp_path / "small_trace.csv").read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == ",".join(CSV_COLUMNS)
-    rows = [line.split(",") for line in lines[2:]]
-    assert len(rows) == trace.n.size
-    first = rows[0]
-    assert int(first[0]) == 1
-    assert float(first[1]) == 1.0  # alpha_1 = 1/1
-    for row in rows:
-        assert len(row) == len(CSV_COLUMNS)
-        assert float(row[5]) >= -1e-7  # slack_b
-        assert float(row[6]) >= -1e-7  # slack_c
+    blend = {
+        "scheme": "halpern_mann",
+        "mapping": {"variant": "resolvent", "r": 1.0},
+        "schedules.beta": {"kind": "constant", "value": 0.5},
+    }
+    assert set(CSV_COLUMNS) == set(TRACE_ATTRS)
+    for name, over in (("proximal_point", {}), ("halpern_mann", blend)):
+        cfg = config_from_dict(small_config(**over))
+        summary, trace = run_experiment(cfg, tmp_path / name)
+        lines = (tmp_path / name / "small_trace.csv").read_text().splitlines()
+        assert lines[0].startswith("#")
+        assert lines[1] == ",".join(CSV_COLUMNS)
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == trace.n.size
+        first = rows[0]
+        assert int(first[0]) == 1
+        assert float(first[1]) == 1.0  # alpha_1 = 1/1
+        for i, row in enumerate(rows):
+            assert len(row) == len(CSV_COLUMNS)
+            assert float(row[5]) >= -1e-7  # slack_b
+            assert float(row[6]) >= -1e-7  # slack_c
+            # every cell parses back to exactly the traced value
+            for header, cell in zip(CSV_COLUMNS, row):
+                attr, kind = TRACE_ATTRS[header]
+                assert kind(cell) == getattr(trace, attr)[i], (name, header, i)
 
 
 def test_summary_fields_match_trace(tmp_path):

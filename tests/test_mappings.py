@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from halpernlp import (
+    AlternatingSchedule,
     BlendMap,
     BlendSequence,
     ConstantSchedule,
@@ -9,6 +10,7 @@ from halpernlp import (
     DualityResidual,
     GradientOfQuadratic,
     LinearMonotone,
+    LinearSchedule,
     LpSpace,
     PowerSchedule,
     ProjectionMap,
@@ -21,6 +23,11 @@ from halpernlp import (
 )
 from halpernlp.mappings import reference_points
 from halpernlp.operators import resolvent
+from halpernlp.schedules import (
+    validate_anchor_weights,
+    validate_blend_weights,
+    validate_resolvent_radii,
+)
 
 
 @pytest.fixture
@@ -128,6 +135,45 @@ class TestSequences:
         with pytest.raises(ScheduleValidationError):
             # drifts down from 1 toward 1: limsup not < 1
             BlendSequence(inner=inner, beta_schedule=DriftSchedule(base=0.999, amp=0.01))
+
+
+# (schedule, accepted as anchor weights, as resolvent radii,
+#  (liminf, limsup) returned as blend weights or None if rejected)
+SCHEDULE_MATRIX = [
+    (PowerSchedule(c=1.0, s=1.0), True, False, None),
+    (PowerSchedule(c=1.0, s=0.5), True, False, None),
+    (PowerSchedule(c=1.0, s=2.0), False, False, None),
+    (PowerSchedule(c=2.0, s=1.0), False, False, None),
+    (ConstantSchedule(0.0), False, False, None),
+    (ConstantSchedule(0.5), False, True, (0.5, 0.5)),
+    (ConstantSchedule(1.0), False, True, None),
+    (LinearSchedule(1.0), False, True, None),
+    (AlternatingSchedule(0.2, 0.8), False, True, (0.2, 0.8)),
+    (AlternatingSchedule(1.0, 10.0), False, True, None),
+    (DriftSchedule(base=0.5, amp=0.25), False, False, (0.5, 0.75)),
+    (DriftSchedule(base=0.5, amp=-0.1), False, False, None),
+    (DriftSchedule(base=0.0, amp=0.5), False, False, None),
+]
+
+
+@pytest.mark.parametrize(
+    "sched,anchor_ok,radii_ok,blend_bounds", SCHEDULE_MATRIX, ids=repr
+)
+def test_schedule_accept_reject_matrix(sched, anchor_ok, radii_ok, blend_bounds):
+    for validate, ok in (
+        (validate_anchor_weights, anchor_ok),
+        (validate_resolvent_radii, radii_ok),
+    ):
+        if ok:
+            assert validate(sched) is sched
+        else:
+            with pytest.raises(ScheduleValidationError):
+                validate(sched)
+    if blend_bounds is None:
+        with pytest.raises(ScheduleValidationError):
+            validate_blend_weights(sched)
+    else:
+        assert validate_blend_weights(sched) == (sched, *blend_bounds)
 
 
 class TestSrnsDiagnostic:
