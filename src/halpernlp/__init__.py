@@ -56,8 +56,6 @@ from .driver import (
     halpern_step,
     reference_solution,
     run_halpern,
-    run_halpern_mann,
-    run_proximal_point,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

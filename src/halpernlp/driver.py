@@ -1,13 +1,12 @@
-"""The three anchored iteration schemes with per-step invariant monitoring.
+"""The two anchored iteration schemes with per-step invariant monitoring.
 
-One generic loop drives all three:
+One generic loop drives both:
 
     y_n     = J^{-1}(alpha_n J u + (1 - alpha_n) J S_n x_n)
     x_{n+1} = Q_C(y_n)
 
 with S_n a resolvent sequence (proximal-point scheme, C the whole
-space), a blend sequence (Halpern-Mann scheme), or any mapping sequence
-with a common fixed point (generic scheme).  The limit is the
+space) or a blend sequence (Halpern-Mann scheme).  The limit is the
 generalized projection of the anchor u onto the common fixed-point set.
 
 Each step records the two theorem-bearing inequality slacks
@@ -24,15 +23,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import LpSpace
-from .mappings import BlendSequence, MappingSequence, ResolventSequence
+from .mappings import MappingSequence
 from .schedules import Schedule, validate_anchor_weights
-from .sets import AffineSet, ConvexSet, WholeSpace, generalized_projection
-from . import tolerances
+from .sets import AffineSet, ConvexSet, generalized_projection
 
 
 class RunStatus(enum.Enum):
@@ -41,13 +39,11 @@ class RunStatus(enum.Enum):
     INNER_SOLVER_FAILURE = "InnerSolverFailure"
 
 
-def reference_solution(
-    space: LpSpace, fixed_set, u, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def reference_solution(space: LpSpace, fixed_set, u) -> np.ndarray:
     """w = Q_F(u) for F a known point or affine set of fixed points."""
     u = space.check(u)
     if isinstance(fixed_set, AffineSet):
-        res = generalized_projection(space, fixed_set, u, rng=rng)
+        res = generalized_projection(space, fixed_set, u)
         if not res.converged:
             raise RuntimeError(
                 "generalized projection onto the fixed-point set did not "
@@ -71,11 +67,10 @@ class HalpernConfig:
     alpha: Schedule
     max_iter: int = 1_000_000
     stop_tol: float = 1e-3
-    reference: np.ndarray | None = None  # w = Q_F(u); computed when omitted
-    membership_tol: float = tolerances.MEMBERSHIP_TOL
     # test hook: additive corruption of the dual blend, used to exercise
     # slack-violation detection paths; leave at 0 for honest runs
     perturb_step: float = 0.0
+    reference: np.ndarray = field(init=False)  # w = Q_F(u)
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", self.space.check(self.anchor))
@@ -85,17 +80,12 @@ class HalpernConfig:
             raise ValueError("max_iter must be >= 1")
         if self.stop_tol <= 0:
             raise ValueError("stop_tol must be positive")
-        if not self.constraint.contains(self.start, self.membership_tol):
+        if not self.constraint.contains(self.start):
             raise ValueError("x_1 must lie in the constraint set")
-        if self.reference is None:
-            w = reference_solution(
-                self.space,
-                self.sequence.fixed_point_reference(self.space),
-                self.anchor,
-            )
-            object.__setattr__(self, "reference", w)
-        else:
-            object.__setattr__(self, "reference", self.space.check(self.reference))
+        w = reference_solution(
+            self.space, self.sequence.fixed_point_reference(self.space), self.anchor
+        )
+        object.__setattr__(self, "reference", w)
 
 
 # Per-step trace columns: (IterationTrace attribute, CSV header, type).
@@ -240,19 +230,3 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
         final_phi=space.lyapunov(w, x),
         uc_ft_flagged=cfg.sequence.uc_ft_flagged(uc_gaps, j_gaps),
     )
-
-
-def run_proximal_point(cfg: HalpernConfig) -> IterationTrace:
-    """The proximal-point specialization: resolvent sequence, no constraint."""
-    if not isinstance(cfg.sequence, ResolventSequence):
-        raise ValueError("proximal-point runs need a resolvent sequence")
-    if not isinstance(cfg.constraint, WholeSpace):
-        raise ValueError("proximal-point runs use the whole space as constraint")
-    return run_halpern(cfg)
-
-
-def run_halpern_mann(cfg: HalpernConfig) -> IterationTrace:
-    """The blend specialization S_n = J^{-1}(beta_n J + (1-beta_n) J T)."""
-    if not isinstance(cfg.sequence, BlendSequence):
-        raise ValueError("Halpern-Mann runs need a blend sequence")
-    return run_halpern(cfg)

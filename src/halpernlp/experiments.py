@@ -23,7 +23,7 @@ import yaml
 
 from .driver import TRACE_COLUMNS, HalpernConfig, IterationTrace, RunStatus, run_halpern
 from .geometry import LpSpace
-from .mappings import BlendSequence, MappingSequence, ResolventMap, ResolventSequence
+from .mappings import BlendSequence, ResolventMap, ResolventSequence
 from .operators import DualityResidual, GradientOfQuadratic, LinearMonotone
 from .schedules import (
     AlternatingSchedule,
@@ -31,10 +31,8 @@ from .schedules import (
     DriftSchedule,
     LinearSchedule,
     PowerSchedule,
-    Schedule,
-    ScheduleValidationError,
 )
-from .sets import Box, ConvexSet, EuclideanBall, HalfSpace, WholeSpace
+from .sets import Box, EuclideanBall, HalfSpace, WholeSpace
 from . import tolerances
 
 EXIT_OK = 0
@@ -101,92 +99,116 @@ class RunSummary:
         return "\t".join(header for _, header, _ in _SUMMARY_COLUMNS)
 
 
-def _build_schedule(section: dict, problems: list) -> Schedule | None:
-    kind = section.get("kind")
-    try:
-        if kind == "power":
-            return PowerSchedule(c=float(section.get("c", 1.0)), s=float(section.get("s", 1.0)))
-        if kind == "constant":
-            return ConstantSchedule(v=float(section["value"]))
-        if kind == "linear":
-            return LinearSchedule(scale=float(section.get("scale", 1.0)))
-        if kind == "alternating":
-            return AlternatingSchedule(lo=float(section["lo"]), hi=float(section["hi"]))
-        if kind == "drift":
-            return DriftSchedule(base=float(section["base"]), amp=float(section["amp"]))
-        problems.append(f"unknown schedule kind: {kind!r}")
-    except KeyError as e:
-        problems.append(f"schedule {kind!r} missing field {e}")
-    except (TypeError, ValueError) as e:
-        problems.append(f"schedule {kind!r}: {e}")
-    return None
+_REQUIRED = object()
+_VECTOR, _MATRIX = 1, 2  # array fields, by rank
 
 
-def _build_operator(section: dict, dim: int, problems: list):
-    variant = section.get("variant")
-    try:
-        if variant == "gradient_of_quadratic":
-            if "q_diag" in section:
-                q = np.diag(np.asarray(section["q_diag"], dtype=float))
-            else:
-                q = np.asarray(section["q"], dtype=float)
-            return GradientOfQuadratic(q=q, c=np.asarray(section["c"], dtype=float))
-        if variant == "linear_monotone":
-            return LinearMonotone(
-                m=np.asarray(section["m"], dtype=float),
-                b=np.asarray(section.get("b", np.zeros(dim)), dtype=float),
-            )
-        if variant == "duality_residual":
-            return DualityResidual(z=np.asarray(section["z"], dtype=float))
-        problems.append(f"unknown operator variant: {variant!r}")
-    except (KeyError, ValueError) as e:
-        problems.append(f"operator {variant!r}: {e}")
-    return None
+class _FieldError(ValueError):
+    """A config field of the wrong type or shape; the message names the field."""
 
 
-def _build_constraint(section: dict, problems: list) -> ConvexSet | None:
-    variant = section.get("variant", "whole_space")
-    try:
-        if variant == "whole_space":
-            return WholeSpace()
-        if variant == "half_space":
-            return HalfSpace(a=np.asarray(section["a"], dtype=float), b=float(section["b"]))
-        if variant == "box":
-            return Box(lo=np.asarray(section["lo"], dtype=float), hi=np.asarray(section["hi"], dtype=float))
-        if variant == "ball":
-            return EuclideanBall(
-                center=np.asarray(section["center"], dtype=float),
-                radius=float(section["radius"]),
-            )
-        problems.append(f"unknown constraint variant: {variant!r}")
-    except (KeyError, ValueError) as e:
-        problems.append(f"constraint {variant!r}: {e}")
-    return None
+@dataclass
+class _Section:
+    """One mapping of a raw config, and the problem list all sections share.
 
+    ``field`` raises on a bad value; ``read``, ``section`` and ``build``
+    record the problem and carry on, so one pass lists every problem.
+    """
 
-def _resolve_point(spec, rng: np.random.Generator, dim: int, problems: list, name: str):
-    if isinstance(spec, str):
-        if spec == "seeded":
-            return rng.standard_normal(dim)
-        problems.append(f"{name}: expected 'seeded' or a literal array, got {spec!r}")
-        return None
-    try:
-        arr = np.asarray(spec, dtype=float)
-        if arr.shape != (dim,):
-            problems.append(f"{name}: expected {dim} coordinates, got shape {arr.shape}")
-            return None
+    values: dict
+    problems: list
+    path: str = ""  # dotted path of this section; "" at the top level
+    dim: int = 0  # vector length; 0 until the space is known skips shape checks
+
+    def _name(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def field(self, key: str, kind, default=_REQUIRED):
+        """values[key] as a float, an int, or an array of rank ``kind`` with
+        ``dim`` entries per axis."""
+        value = self.values.get(key, default)
+        if value is _REQUIRED:
+            raise _FieldError(f"{self._name(key)}: missing")
+        try:
+            if kind is float:
+                return float(value)
+            if kind is int:
+                if isinstance(value, int):
+                    return int(value)
+                if not float(value).is_integer():
+                    raise ValueError(f"{value!r} is not an integer")
+                return int(float(value))
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as e:
+            raise _FieldError(f"{self._name(key)}: {e}") from None
+        shape = (self.dim,) * kind
+        if self.dim and arr.shape != shape:
+            raise _FieldError(f"{self._name(key)}: expected shape {shape}, got {arr.shape}")
         return arr
-    except (TypeError, ValueError):
-        problems.append(f"{name}: not a numeric array")
+
+    def attempt(self, make, where: str = ""):
+        """make(), or None with its error recorded (prefixed by ``where``
+        unless it is a field error, which names itself)."""
+        try:
+            return make()
+        except _FieldError as e:
+            self.problems.append(str(e))
+        except (TypeError, ValueError, RuntimeError) as e:
+            self.problems.append(f"{where}{e}")
         return None
 
+    def read(self, key: str, kind, default=_REQUIRED):
+        return self.attempt(lambda: self.field(key, kind, default))
 
-def _parse_number(value, kind, name: str, problems: list):
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as e:
-        problems.append(f"{name}: {e}")
-        return None
+    def section(self, key: str, default=None) -> _Section:
+        value = self.values.get(key, {} if default is None else default)
+        if not isinstance(value, dict):
+            self.problems.append(f"{self._name(key)}: expected a mapping, got {value!r}")
+            value = {}
+        return _Section(value, self.problems, self._name(key), self.dim)
+
+    def build(self, table: dict, key: str, default=None):
+        """The variant that values[key] names, made by its entry in ``table``."""
+        name = self.values.get(key, default)
+        if not (isinstance(name, str) and name in table):
+            self.problems.append(f"unknown {self._name(key)}: {name!r}")
+            return None
+        return self.attempt(lambda: table[name](self), f"{self._name(key)} {name!r}: ")
+
+
+# name -> constructor from the section that names it
+_SCHEDULES = {
+    "power": lambda s: PowerSchedule(c=s.field("c", float, 1.0), s=s.field("s", float, 1.0)),
+    "constant": lambda s: ConstantSchedule(v=s.field("value", float)),
+    "linear": lambda s: LinearSchedule(scale=s.field("scale", float, 1.0)),
+    "alternating": lambda s: AlternatingSchedule(lo=s.field("lo", float), hi=s.field("hi", float)),
+    "drift": lambda s: DriftSchedule(base=s.field("base", float), amp=s.field("amp", float)),
+}
+_OPERATORS = {
+    "gradient_of_quadratic": lambda s: GradientOfQuadratic(
+        q=np.diag(s.field("q_diag", _VECTOR)) if "q_diag" in s.values else s.field("q", _MATRIX),
+        c=s.field("c", _VECTOR),
+    ),
+    "linear_monotone": lambda s: LinearMonotone(
+        m=s.field("m", _MATRIX), b=s.field("b", _VECTOR, np.zeros(s.dim))
+    ),
+    "duality_residual": lambda s: DualityResidual(z=s.field("z", _VECTOR)),
+}
+_CONSTRAINTS = {
+    "whole_space": lambda s: WholeSpace(),
+    "half_space": lambda s: HalfSpace(a=s.field("a", _VECTOR), b=s.field("b", float)),
+    "box": lambda s: Box(lo=s.field("lo", _VECTOR), hi=s.field("hi", _VECTOR)),
+    "ball": lambda s: EuclideanBall(center=s.field("center", _VECTOR), radius=s.field("radius", float)),
+}
+_MAPPINGS = {"resolvent": lambda s: s.field("r", float, 1.0)}  # -> the resolvent parameter
+
+
+def _start_point(start: _Section, key: str, rng: np.random.Generator) -> np.ndarray:
+    """start[key]: 'seeded' draws from rng; anything else is a literal vector."""
+    value = start.values.get(key, "seeded")
+    if isinstance(value, str) and value == "seeded":
+        return rng.standard_normal(start.dim)
+    return start.field(key, _VECTOR)
 
 
 def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
@@ -203,89 +225,63 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
 def config_from_dict(
     raw: dict, default_id: str = "experiment", seed_override: int | None = None
 ) -> ExperimentConfig:
+    """The one checked boundary for config input: every problem it finds is
+    listed in a single ConfigError."""
     problems: list[str] = []
+    top = _Section(raw, problems)
 
     exp_id = str(raw.get("id", default_id))
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    seed = _parse_number(seed, int, "seed", problems)
+    seed = top.read("seed", int, 0) if seed_override is None else seed_override
+    sp = top.section("space")
+    space = top.attempt(lambda: LpSpace(dim=sp.field("dim", int), p=sp.field("p", float)), "space: ")
+    top.dim = space.dim if space else 0
 
-    space = None
-    sp = raw.get("space", {})
-    try:
-        space = LpSpace(dim=int(sp["dim"]), p=float(sp["p"]))
-    except (KeyError, ValueError, TypeError) as e:
-        problems.append(f"space: {e}")
+    schedules = top.section("schedules")
+    alpha = schedules.section("alpha", {"kind": "power"}).build(_SCHEDULES, "kind")
+    op = top.section("operator").build(_OPERATORS, "variant")
+    constraint = top.section("constraint").build(_CONSTRAINTS, "variant", "whole_space")
 
     scheme = raw.get("scheme")
-    if scheme not in ("proximal_point", "halpern_mann"):
+    if scheme == "proximal_point":
+        r = schedules.section("r", {"kind": "constant", "value": 1.0}).build(_SCHEDULES, "kind")
+        if constraint is not None and not isinstance(constraint, WholeSpace):
+            problems.append("proximal_point requires a whole_space constraint")
+        make_sequence = lambda: ResolventSequence(op=op, r_schedule=r)
+    elif scheme == "halpern_mann":
+        mapping = top.section("mapping", {"variant": "resolvent", "r": 1.0})
+        r = mapping.build(_MAPPINGS, "variant")
+        beta = schedules.section("beta", {"kind": "constant", "value": 0.5}).build(_SCHEDULES, "kind")
+        make_sequence = lambda: BlendSequence(inner=ResolventMap(op=op, r=r), beta_schedule=beta)
+    else:
         problems.append(f"unknown scheme: {scheme!r}")
 
-    sched_section = raw.get("schedules", {})
-    alpha = _build_schedule(sched_section.get("alpha", {"kind": "power"}), problems)
+    budgets = top.section("budgets")
+    max_iter = budgets.read("max_iter", int, 100_000)
+    stop_tol = budgets.read("stop_tol", float, 1e-3)
+    perturb = top.section("debug").read("perturb_step", float, 0.0)
+    start = top.section("start")
+    rng = top.attempt(lambda: np.random.default_rng(seed), "seed: ")
+    if problems:
+        raise ConfigError(problems)
 
-    dim = space.dim if space else 0
-    op = _build_operator(raw.get("operator", {}), dim, problems)
-    constraint = _build_constraint(raw.get("constraint", {"variant": "whole_space"}), problems)
+    def make_halpern():
+        anchor = _start_point(start, "u", rng)  # u is drawn before x1
+        x1 = _start_point(start, "x1", rng)
+        return HalpernConfig(
+            space=space,
+            anchor=anchor,
+            start=constraint.euclidean_project(x1),
+            constraint=constraint,
+            sequence=make_sequence(),
+            alpha=alpha,
+            max_iter=max_iter,
+            stop_tol=stop_tol,
+            perturb_step=perturb,
+        )
 
-    sequence: MappingSequence | None = None
-    if space and op:
-        try:
-            if scheme == "proximal_point":
-                r_sched = _build_schedule(
-                    sched_section.get("r", {"kind": "constant", "value": 1.0}), problems
-                )
-                if r_sched:
-                    sequence = ResolventSequence(op=op, r_schedule=r_sched)
-                if constraint is not None and not isinstance(constraint, WholeSpace):
-                    problems.append("proximal_point requires a whole_space constraint")
-            elif scheme == "halpern_mann":
-                mp = raw.get("mapping", {"variant": "resolvent", "r": 1.0})
-                if mp.get("variant") != "resolvent":
-                    problems.append(f"unsupported halpern_mann mapping: {mp.get('variant')!r}")
-                else:
-                    inner = ResolventMap(op=op, r=float(mp.get("r", 1.0)))
-                    beta = _build_schedule(
-                        sched_section.get("beta", {"kind": "constant", "value": 0.5}),
-                        problems,
-                    )
-                    if beta:
-                        sequence = BlendSequence(inner=inner, beta_schedule=beta)
-        except (ScheduleValidationError, ValueError) as e:
-            problems.append(str(e))
-
-    budgets = raw.get("budgets", {})
-    max_iter = _parse_number(budgets.get("max_iter", 100_000), int, "budgets.max_iter", problems)
-    stop_tol = _parse_number(budgets.get("stop_tol", 1e-3), float, "budgets.stop_tol", problems)
-    perturb = _parse_number(
-        raw.get("debug", {}).get("perturb_step", 0.0), float, "debug.perturb_step", problems
-    )
-
-    halpern = None
-    if space and sequence and constraint is not None and alpha and not problems:
-        rng = np.random.default_rng(seed)
-        start_section = raw.get("start", {})
-        u = _resolve_point(start_section.get("u", "seeded"), rng, space.dim, problems, "u")
-        x1 = _resolve_point(start_section.get("x1", "seeded"), rng, space.dim, problems, "x1")
-        if x1 is not None:
-            x1 = constraint.euclidean_project(x1)
-        if u is not None and x1 is not None:
-            try:
-                halpern = HalpernConfig(
-                    space=space,
-                    anchor=u,
-                    start=x1,
-                    constraint=constraint,
-                    sequence=sequence,
-                    alpha=alpha,
-                    max_iter=max_iter,
-                    stop_tol=stop_tol,
-                    perturb_step=perturb,
-                )
-            except (ScheduleValidationError, ValueError, RuntimeError) as e:
-                problems.append(str(e))
-
-    if problems or halpern is None:
-        raise ConfigError(problems or ["config did not produce a runnable setup"])
+    halpern = top.attempt(make_halpern)
+    if halpern is None:
+        raise ConfigError(problems)
     return ExperimentConfig(experiment_id=exp_id, seed=seed, scheme=scheme, halpern=halpern)
 
 

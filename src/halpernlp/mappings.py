@@ -185,14 +185,7 @@ class SrnsReport:
     flagged: bool
 
 
-def srns_diagnostic(
-    space: LpSpace,
-    seq: MappingSequence,
-    xs,
-    p_hat,
-    eps_d: float = 1e-6,
-    eps_e: float = 1e-3,
-) -> SrnsReport:
+def srns_diagnostic(space: LpSpace, seq: MappingSequence, xs, p_hat) -> SrnsReport:
     p_hat = space.check(p_hat)
     d = np.empty(len(xs))
     e = np.empty(len(xs))
@@ -200,19 +193,21 @@ def srns_diagnostic(
         sx = apply_indexed(space, seq, i + 1, x).point
         d[i] = space.lyapunov(p_hat, x) - space.lyapunov(p_hat, sx)
         e[i] = space.lyapunov(sx, x)
-    # flag only when the implication's premise is met but the conclusion fails
-    flagged = bool(len(xs) > 0 and np.max(d) < eps_d and np.min(e) > eps_e)
+    # flag only when the implication's premise (every d_n < 1e-6) is met but
+    # its conclusion fails (every e_n > 1e-3)
+    flagged = bool(len(xs) > 0 and np.max(d) < 1e-6 and np.min(e) > 1e-3)
     return SrnsReport(d, e, flagged)
 
 
-def reference_points(space: LpSpace, ref, rng=None, count: int = 5):
-    """Materialize a fixed-point reference as a list of concrete points."""
+def reference_points(space: LpSpace, ref, rng=None):
+    """Materialize a fixed-point reference as a list of concrete points
+    (five for an affine set)."""
     if isinstance(ref, AffineSet):
         pts = [ref.point.copy()]
         if rng is None:
             rng = np.random.default_rng(0)
         k = ref.directions.shape[0]
-        for _ in range(count - 1):
+        for _ in range(4):
             pts.append(ref.point + rng.standard_normal(k) @ ref.directions)
         return pts
     return [space.check(ref)]

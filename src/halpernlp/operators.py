@@ -177,14 +177,7 @@ class ResolventResult:
     converged: bool
 
 
-def resolvent(
-    space: LpSpace,
-    op: MonotoneOperator,
-    r: float,
-    x,
-    z0=None,
-    tol: float = tolerances.RESOLVENT_TOL,
-) -> ResolventResult:
+def resolvent(space: LpSpace, op: MonotoneOperator, r: float, x, z0=None) -> ResolventResult:
     """L_r(x) = (J + rA)^{-1} J x."""
     if r <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {r}")
@@ -192,9 +185,9 @@ def resolvent(
     jx = space.duality_map(x)
     point = op.closed_form_resolvent(space, r, x, jx)
     if point is None:
-        return _newton_resolvent(space, op, r, x, jx, z0, tol)
+        return _newton_resolvent(space, op, r, x, jx, z0)
     res = _resolvent_residual(space, op, r, point, jx)
-    return ResolventResult(point, res, 0, res <= tol)
+    return ResolventResult(point, res, 0, res <= tolerances.RESOLVENT_TOL)
 
 
 def _resolvent_residual(space, op, r, z, jx) -> float:
@@ -202,7 +195,7 @@ def _resolvent_residual(space, op, r, z, jx) -> float:
     return _power_norm(g, space.q)
 
 
-def _newton_resolvent(space, op, r, x, jx, z0, tol) -> ResolventResult:
+def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
     z = np.asarray(z0, dtype=float).copy() if z0 is not None else x.copy()
     if not np.any(z):
         # nudge off the origin where the Jacobian of J degenerates
@@ -249,7 +242,7 @@ def _newton_resolvent(space, op, r, x, jx, z0, tol) -> ResolventResult:
     res = _power_norm(g_of(z), space.q)
     if res > best[1]:
         z, res = best
-    return ResolventResult(z, res, k, res <= tol)
+    return ResolventResult(z, res, k, res <= tolerances.RESOLVENT_TOL)
 
 
 def monotonicity_gap(space: LpSpace, op: MonotoneOperator, x, y) -> float:

@@ -20,6 +20,7 @@ from . import tolerances
 _PGD_GRAD_TOL = 1e-9
 _PGD_MAX_ITER = 10_000
 _ARMIJO_C = 1e-4
+_VI_PROBES = 100
 
 
 class ConvexSet:
@@ -80,14 +81,14 @@ class ConvexSet:
             y, hy = cand, hc
         return y, _PGD_MAX_ITER
 
-    def vi_residual(self, space: LpSpace, x, proj, rng, n_probes: int) -> float:
+    def vi_residual(self, space: LpSpace, x, proj, rng) -> float:
         """max over probe points z in C of <z - proj, Jx - J(proj)>."""
         if rng is None:
             rng = np.random.default_rng(0)
         g = space.duality_map(x) - space.duality_map(proj)
         worst = 0.0
         scale = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(proj)))
-        for _ in range(n_probes):
+        for _ in range(_VI_PROBES):
             z = self.euclidean_project(proj + scale * rng.standard_normal(space.dim))
             worst = max(worst, float(np.dot(z - proj, g)))
         return worst
@@ -101,7 +102,7 @@ class WholeSpace(ConvexSet):
     def contains(self, x, tol: float = tolerances.MEMBERSHIP_TOL) -> bool:
         return True
 
-    def vi_residual(self, space, x, proj, rng, n_probes):
+    def vi_residual(self, space, x, proj, rng):
         # every x is its own projection, so Jx - J(proj) vanishes
         return 0.0
 
@@ -254,12 +255,7 @@ class ProjectionResult:
 
 
 def generalized_projection(
-    space: LpSpace,
-    cset: ConvexSet,
-    x,
-    vi_tol: float = tolerances.VI_TOL,
-    n_probes: int = 100,
-    rng: np.random.Generator | None = None,
+    space: LpSpace, cset: ConvexSet, x, rng: np.random.Generator | None = None
 ) -> ProjectionResult:
     """Q_C(x), the unique minimizer of phi(y, x) over C."""
     x = space.check(x)
@@ -270,5 +266,5 @@ def generalized_projection(
     else:
         point, iters = cset.minimize_phi(space, x)
 
-    residual = cset.vi_residual(space, x, point, rng, n_probes)
-    return ProjectionResult(point, residual, iters, residual <= vi_tol)
+    residual = cset.vi_residual(space, x, point, rng)
+    return ProjectionResult(point, residual, iters, residual <= tolerances.VI_TOL)

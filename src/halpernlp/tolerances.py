@@ -1,14 +1,5 @@
-"""Central tolerance constants.
-
-Algebraic identities are checked relatively; inequality slacks absolutely
-(they accumulate two normalized-duality-map evaluations).
-"""
-
-# identities such as the roundtrip x -> Jx -> x and <x,Jx> = ||x||^2
-IDENTITY_RTOL = 1e-10
-
-# slack for inequalities built from two J evaluations
-INEQUALITY_ATOL = 1e-9
+"""Central tolerance constants: the inner solvers' acceptance tests, the
+per-step slack of the iteration inequalities, and set membership."""
 
 # variational-inequality residual of the generalized projection
 VI_TOL = 1e-6

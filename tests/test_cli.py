@@ -46,14 +46,18 @@ def test_suite_reports_non_numeric_budget(tmp_path, capsys):
     text = (CONFIG_DIR / "p4_line.yaml").read_text()
     (cfg_dir / "a.yaml").write_text(text)
     (cfg_dir / "b.yaml").write_text(text.replace("max_iter: 100000", "max_iter: lots"))
+    budgets = "budgets: {max_iter: 100000, stop_tol: 1.0e-2}"
+    (cfg_dir / "c.yaml").write_text(text.replace(budgets, "budgets: 5"))
     code = main(["suite", str(cfg_dir), "--out", str(tmp_path / "out")])
     assert code == 5
     rows = (tmp_path / "out" / "suite_summary.tsv").read_text().splitlines()
     by_id = {row.split("\t")[0]: row.split("\t") for row in rows[1:]}
-    assert sorted(by_id) == ["b", "p4_line"]
+    assert sorted(by_id) == ["b", "c", "p4_line"]
     assert by_id["p4_line"][-1] == "0"
     assert by_id["b"][-1] == "5"
     assert "budgets.max_iter" in by_id["b"][1]
+    assert by_id["c"][-1] == "5"
+    assert "budgets" in by_id["c"][1]
 
 
 def test_suite_empty_directory(tmp_path, capsys):

@@ -21,8 +21,6 @@ from halpernlp import (
     halpern_step,
     reference_solution,
     run_halpern,
-    run_halpern_mann,
-    run_proximal_point,
 )
 from halpernlp.sequences import RealSequencePrefix, TauCertificate, eventually_increasing_tau
 
@@ -130,7 +128,7 @@ class TestRunProximalPoint:
             space=sp, anchor=w, start=w, constraint=WholeSpace(),
             sequence=seq, alpha=PowerSchedule(), max_iter=100, stop_tol=1e-6,
         )
-        trace = run_proximal_point(cfg)
+        trace = run_halpern(cfg)
         assert trace.status is RunStatus.CONVERGED
         assert trace.iterations == 1
 
@@ -143,7 +141,7 @@ class TestRunProximalPoint:
             max_iter=200_000, stop_tol=1e-3,
         )
         np.testing.assert_allclose(cfg.reference, w, atol=1e-10)
-        trace = run_proximal_point(cfg)
+        trace = run_halpern(cfg)
         assert trace.status is RunStatus.CONVERGED
         assert sp.norm(trace.final_x - w) <= 1e-3
         assert trace.min_slack >= -1e-7
@@ -176,21 +174,10 @@ class TestRunProximalPoint:
                 sequence=seq, alpha=PowerSchedule(), max_iter=200_000,
                 stop_tol=1e-2,
             )
-            trace = run_proximal_point(cfg)
+            trace = run_halpern(cfg)
             assert trace.status is RunStatus.CONVERGED
             finals.append(trace.final_x)
         assert sp.norm(finals[0] - finals[1]) <= 2e-2
-
-    def test_requires_resolvent_sequence(self):
-        sp, op, w, rng = quad_problem()
-        inner = ResolventMap(op=op, r=1.0)
-        seq = BlendSequence(inner=inner, beta_schedule=ConstantSchedule(0.5))
-        cfg = HalpernConfig(
-            space=sp, anchor=w, start=w, constraint=WholeSpace(),
-            sequence=seq, alpha=PowerSchedule(), max_iter=10, stop_tol=1e-3,
-        )
-        with pytest.raises(ValueError):
-            run_proximal_point(cfg)
 
 
 class TestRunHalpernMann:
@@ -203,7 +190,7 @@ class TestRunHalpernMann:
             constraint=WholeSpace(), sequence=seq, alpha=PowerSchedule(),
             max_iter=200_000, stop_tol=1e-2,
         )
-        trace = run_halpern_mann(cfg)
+        trace = run_halpern(cfg)
         assert trace.status is RunStatus.CONVERGED
         assert sp.norm(trace.final_x - cfg.reference) <= 1e-2
         assert trace.min_slack >= -1e-7
@@ -223,7 +210,7 @@ class TestRunHalpernMann:
             constraint=hs, sequence=seq, alpha=PowerSchedule(),
             max_iter=200_000, stop_tol=1e-2,
         )
-        trace = run_halpern_mann(cfg)
+        trace = run_halpern(cfg)
         assert trace.status is RunStatus.CONVERGED
         assert sp.norm(trace.final_x - cfg.reference) <= 1e-2
 
@@ -255,7 +242,7 @@ class TestTraceDiagnostics:
                 sequence=seq, alpha=PowerSchedule(), max_iter=200_000,
                 stop_tol=1e-2,
             )
-            trace = run_proximal_point(cfg)
+            trace = run_halpern(cfg)
             assert trace.status is RunStatus.CONVERGED
             limits.append(trace.final_x)
         # limits follow their anchors; they are distinct points of the line
@@ -269,7 +256,7 @@ class TestTraceDiagnostics:
             start=rng.standard_normal(4), constraint=WholeSpace(),
             sequence=seq, alpha=PowerSchedule(), max_iter=50_000, stop_tol=1e-2,
         )
-        trace = run_proximal_point(cfg)
+        trace = run_halpern(cfg)
         phis = trace.phi_w_x
         if np.any(np.diff(phis) > 0):
             res = eventually_increasing_tau(RealSequencePrefix(phis), cauchy_tol=1e-12)

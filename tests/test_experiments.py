@@ -97,16 +97,51 @@ def test_rejects_unknown_scheme_and_operator():
         assert "operator" in joined
 
 
+BLEND = {"scheme": "halpern_mann", "mapping": {"variant": "resolvent", "r": 1.0}}
+
+
 def test_rejects_non_numeric_fields():
-    for key, match in (
-        ("budgets.max_iter", "budgets"),
-        ("budgets.stop_tol", "budgets"),
-        ("seed", "seed"),
-        ("debug.perturb_step", "perturb_step"),
-        ("schedules.alpha.c", "schedule"),
+    for over, match in (
+        ({"budgets.max_iter": "lots"}, "budgets"),
+        ({"budgets.stop_tol": "lots"}, "budgets"),
+        ({"seed": "lots"}, "seed"),
+        ({"debug.perturb_step": "lots"}, "perturb_step"),
+        ({"schedules.alpha.c": "lots"}, "schedule"),
+        # sections that are not mappings
+        ({"budgets": 5}, "budgets"),
+        ({"operator": 3}, "operator"),
+        ({"debug": "x"}, "debug"),
+        ({"schedules": 5}, "schedules"),
+        ({"schedules.alpha": 5}, "schedules.alpha"),
+        ({"schedules.r": "x"}, "schedules.r"),
+        ({"start": 5}, "start"),
+        ({"constraint": 7}, "constraint"),
+        ({**BLEND, "mapping": 5}, "mapping"),
+        # scalars given as lists
+        ({**BLEND, "constraint": {"variant": "half_space", "a": [1.0, 1.0, 1.0], "b": [1, 2]}}, "constraint.b"),
+        ({**BLEND, "constraint": {"variant": "ball", "center": [0.0, 0.0, 0.0], "radius": [1]}}, "constraint.radius"),
+        ({**BLEND, "mapping": {"variant": "resolvent", "r": [1]}}, "mapping.r"),
+        # vectors of the wrong length
+        ({**BLEND, "constraint": {"variant": "half_space", "a": [1.0, 1.0], "b": 1.0}}, "constraint.a"),
+        ({**BLEND, "constraint": {"variant": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}, "constraint.lo"),
+        ({**BLEND, "constraint": {"variant": "box", "lo": [-1.0, -1.0, -1.0], "hi": [1.0]}}, "constraint.hi"),
+        ({**BLEND, "constraint": {"variant": "ball", "center": [0.0, 0.0], "radius": 1.0}}, "constraint.center"),
+        # integer fields that are not integral
+        ({"space.dim": 3.7}, "space.dim"),
+        ({"seed": 3.9}, "seed"),
+        ({"budgets.max_iter": 2.5}, "budgets.max_iter"),
     ):
         with pytest.raises(ConfigError, match=match):
-            config_from_dict(small_config(**{key: "lots"}))
+            config_from_dict(small_config(**over))
+
+
+def test_rejects_constrained_proximal_point():
+    for constraint in (
+        {"variant": "box", "lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+        {"variant": "half_space", "a": [1.0, 0.0, 0.0], "b": 5.0},
+    ):
+        with pytest.raises(ConfigError, match="whole_space"):
+            config_from_dict(small_config(constraint=constraint))
 
 
 def test_rejects_wrong_start_shape():

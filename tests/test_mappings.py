@@ -207,13 +207,25 @@ class TestSrnsDiagnostic:
         assert np.min(report.d) > 1e-6  # premise fails
         assert not report.flagged
 
-    def test_flag_fires_on_violation(self, space):
-        # a fabricated "sequence" that pretends to fix phi while moving x:
-        # use an operator whose resolvent is the identity (M = 0) so
-        # d_n = 0 but e_n = 0 as well -- then corrupt e by checking against
-        # a blend with beta = 1 masked as beta < 1 is not constructible,
-        # so instead check flag logic directly on synthetic numbers
-        from halpernlp.mappings import SrnsReport
+    def test_flag_fires_on_violation(self):
+        # at p = 2, phi(a, b) = ||a - b||^2; a quarter turn about p_hat keeps
+        # the distance to p_hat, so d_n = 0 while e_n = 2 ||x - p_hat||^2
+        from halpernlp.mappings import ApplyResult, Mapping, MappingSequence
 
-        rep = SrnsReport(d=np.zeros(5), e=np.full(5, 0.5), flagged=True)
-        assert rep.flagged
+        sp = LpSpace(2, 2.0)
+        p_hat = np.array([1.0, -0.5])
+
+        class QuarterTurn(Mapping):
+            def apply(self, space, x, warm=None):
+                v = x - p_hat
+                return ApplyResult(p_hat + np.array([-v[1], v[0]]), True, 0)
+
+        class QuarterTurns(MappingSequence):
+            def at(self, n):
+                return QuarterTurn()
+
+        xs = [p_hat + np.array([np.cos(t), np.sin(t)]) for t in np.linspace(0.0, 3.0, 10)]
+        report = srns_diagnostic(sp, QuarterTurns(), xs, p_hat)
+        np.testing.assert_allclose(report.d, 0.0, atol=1e-12)
+        np.testing.assert_allclose(report.e, 2.0, rtol=1e-12)
+        assert report.flagged
