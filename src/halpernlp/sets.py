@@ -56,6 +56,7 @@ class ConvexSet:
         grad_tol = _PGD_GRAD_TOL * max(1.0, float(np.linalg.norm(jx)))
         prev_y = None
         prev_grad = None
+        stuck = False  # the last step left y bit-for-bit unchanged
         for k in range(1, _PGD_MAX_ITER + 1):
             grad = 2.0 * (space.duality_map(y) - jx)
             if float(np.linalg.norm(y - self.euclidean_project(y - grad))) <= grad_tol:
@@ -78,6 +79,14 @@ class ConvexSet:
                 if step < 1e-18:
                     # no descent at float precision: stationary for our purposes
                     return y, k
+            if np.array_equal(cand, y):
+                if stuck:
+                    # this step began at the default trial step (dy = 0), so
+                    # every later step would repeat it exactly
+                    return y, k
+                stuck = True
+            else:
+                stuck = False
             y, hy = cand, hc
         return y, _PGD_MAX_ITER
 

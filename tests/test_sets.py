@@ -179,3 +179,16 @@ class TestGeneralizedProjection:
             for _ in range(10):
                 res = generalized_projection(sp, cset, rng.standard_normal(3) * 4, rng=rng)
                 assert cset.contains(res.point, tol=1e-6)
+
+    def test_stops_when_descent_stalls_at_float_precision(self):
+        # from this x the gradient steps stop moving y a little above the
+        # stationarity cutoff; the solver used to repeat them to its cap
+        sp = LpSpace(6, 3.0)
+        box = Box(lo=-0.5 * np.ones(6), hi=0.5 * np.ones(6))
+        x = np.array([
+            -0.8939044058324345, 0.9432871615609005, -2.2068367678240377,
+            3.4794647225265805, 0.6281174661307066, -3.241828876643742,
+        ])
+        res = generalized_projection(sp, box, x)
+        assert res.inner_iterations < 100
+        assert res.converged
