@@ -200,7 +200,6 @@ _CONSTRAINTS = {
     "box": lambda s: Box(lo=s.field("lo", _VECTOR), hi=s.field("hi", _VECTOR)),
     "ball": lambda s: EuclideanBall(center=s.field("center", _VECTOR), radius=s.field("radius", float)),
 }
-_MAPPINGS = {"resolvent": lambda s: s.field("r", float, 1.0)}  # -> the resolvent parameter
 
 
 def _start_point(start: _Section, key: str, rng: np.random.Generator) -> np.ndarray:
@@ -242,16 +241,23 @@ def config_from_dict(
     constraint = top.section("constraint").build(_CONSTRAINTS, "variant", "whole_space")
 
     scheme = raw.get("scheme")
+    sequence = None
     if scheme == "proximal_point":
         r = schedules.section("r", {"kind": "constant", "value": 1.0}).build(_SCHEDULES, "kind")
         if constraint is not None and not isinstance(constraint, WholeSpace):
             problems.append("proximal_point requires a whole_space constraint")
-        make_sequence = lambda: ResolventSequence(op=op, r_schedule=r)
+        if op is not None and r is not None:
+            sequence = top.attempt(lambda: ResolventSequence(op=op, r_schedule=r))
     elif scheme == "halpern_mann":
         mapping = top.section("mapping", {"variant": "resolvent", "r": 1.0})
-        r = mapping.build(_MAPPINGS, "variant")
+        if mapping.values.get("variant") != "resolvent":
+            problems.append(f"unknown mapping.variant: {mapping.values.get('variant')!r}")
+        r = mapping.read("r", float, 1.0)
         beta = schedules.section("beta", {"kind": "constant", "value": 0.5}).build(_SCHEDULES, "kind")
-        make_sequence = lambda: BlendSequence(inner=ResolventMap(op=op, r=r), beta_schedule=beta)
+        if op is not None and r is not None and beta is not None:
+            sequence = top.attempt(
+                lambda: BlendSequence(inner=ResolventMap(op=op, r=r), beta_schedule=beta)
+            )
     else:
         problems.append(f"unknown scheme: {scheme!r}")
 
@@ -272,7 +278,7 @@ def config_from_dict(
             anchor=anchor,
             start=constraint.euclidean_project(x1),
             constraint=constraint,
-            sequence=make_sequence(),
+            sequence=sequence,
             alpha=alpha,
             max_iter=max_iter,
             stop_tol=stop_tol,

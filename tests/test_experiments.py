@@ -100,6 +100,19 @@ def test_rejects_unknown_scheme_and_operator():
 BLEND = {"scheme": "halpern_mann", "mapping": {"variant": "resolvent", "r": 1.0}}
 
 
+def test_sequence_problems_listed_with_other_problems():
+    for over, match in (
+        ({"schedules.r": {"kind": "power"}}, "lower bound"),
+        ({**BLEND, "schedules.beta": {"kind": "constant", "value": 1.0}}, "blend weight"),
+        ({**BLEND, "mapping": {"variant": "resolvent", "r": 0.0}}, "resolvent parameter"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(small_config(**over, **{"budgets.max_iter": "lots"}))
+        joined = "\n".join(exc.value.problems)
+        assert match in joined
+        assert "budgets.max_iter" in joined
+
+
 def test_rejects_non_numeric_fields():
     for over, match in (
         ({"budgets.max_iter": "lots"}, "budgets"),
