@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LpSpace
+from .geometry import LpSpace, _dual_map, _phi, _power_norm
 from .mappings import MappingSequence
 from .schedules import Schedule, validate_anchor_weights
 from .sets import AffineSet, ConvexSet, generalized_projection
@@ -71,6 +71,11 @@ class HalpernConfig:
     # slack-violation detection paths; leave at 0 for honest runs
     perturb_step: float = 0.0
     reference: np.ndarray = field(init=False)  # w = Q_F(u)
+    # loop invariants of the step diagnostics
+    anchor_dual: np.ndarray = field(init=False)  # J u
+    dual_gap: np.ndarray = field(init=False)  # J u - J w
+    reference_norm: float = field(init=False)  # ||w||
+    phi_w_u: float = field(init=False)  # phi(w, u)
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", self.space.check(self.anchor))
@@ -78,14 +83,25 @@ class HalpernConfig:
         validate_anchor_weights(self.alpha)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.stop_tol <= 0:
+        if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
+        if not math.isfinite(self.perturb_step):
+            raise ValueError("perturb_step must be finite")
         if not self.constraint.contains(self.start):
             raise ValueError("x_1 must lie in the constraint set")
         w = reference_solution(
             self.space, self.sequence.fixed_point_reference(self.space), self.anchor
         )
-        object.__setattr__(self, "reference", w)
+        space = self.space
+        ju = space.duality_map(self.anchor)
+        for name, value in (
+            ("reference", w),
+            ("anchor_dual", ju),
+            ("dual_gap", ju - space.duality_map(w)),
+            ("reference_norm", space.norm(w)),
+            ("phi_w_u", space.lyapunov(w, self.anchor)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 # Per-step trace columns: (IterationTrace attribute, CSV header, type).
@@ -129,17 +145,31 @@ class IterationTrace:
         return float(min(np.min(self.slack_b), np.min(self.slack_c)))
 
 
-def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, warm=None):
-    """One step of the scheme; returns (x_next, y, diagnostics dict)."""
+def _phi_w(cfg: HalpernConfig, v: np.ndarray) -> float:
+    """phi(w, v) for the reference point w."""
+    p = cfg.space.p
+    nv = _power_norm(v, p)
+    return _phi(cfg.reference, cfg.reference_norm, _dual_map(v, p, nv), nv)
+
+
+def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
+    """One step of the scheme; returns (x_next, y, diagnostics dict).
+
+    ``prev`` is the diagnostics dict of the step that produced x: its S x
+    warm-starts the inner solve, and its phi(w, x_{n+1}) is phi(w, x_n)
+    here.  Without it the step computes phi(w, x_n) itself.
+    """
     space = cfg.space
+    p = space.p
     w = cfg.reference
+    x = np.asarray(x, dtype=float)
     a = cfg.alpha(n)
     mapping = cfg.sequence.at(n)
-    applied = mapping.apply(space, x, warm=warm)
+    applied = mapping.apply(space, x, warm=None if prev is None else prev["sx"])
     sx = applied.point
-    ju = space.duality_map(cfg.anchor)
-    jsx = space.duality_map(sx)
-    jy = a * ju + (1.0 - a) * jsx
+    nsx = _power_norm(sx, p)
+    jsx = _dual_map(sx, p, nsx)
+    jy = a * cfg.anchor_dual + (1.0 - a) * jsx
     y = space.inverse_duality_map(jy)
     if cfg.perturb_step:
         y = y + cfg.perturb_step
@@ -151,13 +181,12 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, warm=None):
         x_next = proj.point
         proj_converged, proj_iters = proj.converged, proj.inner_iterations
 
-    jw = space.duality_map(w)
-    phi_w_xn = space.lyapunov(w, x)
-    phi_w_next = space.lyapunov(w, x_next)
-    slack_b = a * space.lyapunov(w, cfg.anchor) + space.lyapunov(w, sx) - phi_w_next
+    phi_w_xn = _phi_w(cfg, x) if prev is None else prev["phi_w_next"]
+    phi_w_next = _phi_w(cfg, x_next)
+    slack_b = a * cfg.phi_w_u + _phi(w, cfg.reference_norm, jsx, nsx) - phi_w_next
     slack_c = (
         (1.0 - a) * phi_w_xn
-        + 2.0 * a * float(np.dot(y - w, ju - jw))
+        + 2.0 * a * float(np.dot(y - w, cfg.dual_gap))
         - phi_w_next
     )
 
@@ -166,13 +195,14 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, warm=None):
         "alpha": a,
         "sx": sx,
         "phi_w_x": phi_w_xn,
-        "res_fixed_point": space.norm(x - sx),
-        "res_y_vs_sx": space.norm(y - sx),
+        "phi_w_next": phi_w_next,
+        "res_fixed_point": _power_norm(x - sx, p),
+        "res_y_vs_sx": _power_norm(y - sx, p),
         "slack_b": slack_b,
         "slack_c": slack_c,
         "inner_iters": applied.inner_iterations + proj_iters,
         "inner_converged": applied.converged and proj_converged,
-        **mapping.step_diagnostics(space, x, jsx),
+        **mapping.step_diagnostics(space, applied.jx, jsx),
     }
     return x_next, y, diag
 
@@ -180,7 +210,7 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, warm=None):
 def run_halpern(cfg: HalpernConfig) -> IterationTrace:
     space = cfg.space
     w = cfg.reference
-    bound = max(space.lyapunov(w, cfg.start), space.lyapunov(w, cfg.anchor))
+    bound = max(space.lyapunov(w, cfg.start), cfg.phi_w_u)
 
     cols = {attr: [] for attr, _, _ in TRACE_COLUMNS}
     uc_gaps: list[float] = []
@@ -189,13 +219,13 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
     stride = max(1, math.ceil(cfg.max_iter / 1000))
 
     x = cfg.start.copy()
-    warm = None
+    prev = None
     status = RunStatus.MAX_ITER
     bound_violation = -math.inf
     n_done = 0
     for n in range(1, cfg.max_iter + 1):
-        x_next, y, diag = halpern_step(cfg, n, x, warm=warm)
-        warm = diag["sx"]
+        x_next, y, diag = halpern_step(cfg, n, x, prev=prev)
+        prev = diag
         for attr in cols:
             cols[attr].append(diag[attr])
         if "uc_ft_gap" in diag:
@@ -210,7 +240,7 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
             status = RunStatus.INNER_SOLVER_FAILURE
             break
         x = x_next
-        if space.norm(x - w) <= cfg.stop_tol:
+        if _power_norm(x - w, space.p) <= cfg.stop_tol:
             status = RunStatus.CONVERGED
             break
 

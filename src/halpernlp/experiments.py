@@ -101,6 +101,8 @@ class RunSummary:
 
 _REQUIRED = object()
 _VECTOR, _MATRIX = 1, 2  # array fields, by rank
+# fields where +-inf has a meaning (box bounds, ball radius); NaN never does
+_UNBOUNDED = frozenset({"constraint.lo", "constraint.hi", "constraint.radius"})
 
 
 class _FieldError(ValueError):
@@ -125,26 +127,32 @@ class _Section:
 
     def field(self, key: str, kind, default=_REQUIRED):
         """values[key] as a float, an int, or an array of rank ``kind`` with
-        ``dim`` entries per axis."""
+        ``dim`` entries per axis; finite unless the field is in _UNBOUNDED."""
+        name = self._name(key)
         value = self.values.get(key, default)
         if value is _REQUIRED:
-            raise _FieldError(f"{self._name(key)}: missing")
+            raise _FieldError(f"{name}: missing")
         try:
-            if kind is float:
-                return float(value)
             if kind is int:
                 if isinstance(value, int):
                     return int(value)
                 if not float(value).is_integer():
                     raise ValueError(f"{value!r} is not an integer")
                 return int(float(value))
-            arr = np.asarray(value, dtype=float)
+            num = float(value) if kind is float else np.asarray(value, dtype=float)
         except (TypeError, ValueError) as e:
-            raise _FieldError(f"{self._name(key)}: {e}") from None
+            raise _FieldError(f"{name}: {e}") from None
+        if name in _UNBOUNDED:
+            if np.any(np.isnan(num)):
+                raise _FieldError(f"{name}: NaN is not allowed")
+        elif not np.all(np.isfinite(num)):
+            raise _FieldError(f"{name}: must be finite")
+        if kind is float:
+            return num
         shape = (self.dim,) * kind
-        if self.dim and arr.shape != shape:
-            raise _FieldError(f"{self._name(key)}: expected shape {shape}, got {arr.shape}")
-        return arr
+        if self.dim and num.shape != shape:
+            raise _FieldError(f"{name}: expected shape {shape}, got {num.shape}")
+        return num
 
     def attempt(self, make, where: str = ""):
         """make(), or None with its error recorded (prefixed by ``where``

@@ -8,6 +8,12 @@ combinations taken in dual coordinates.
 J has the closed form  (Jx)_i = ||x||_p^{2-p} |x_i|^{p-1} sign(x_i),
 with J0 = 0; the inverse is the same formula on the dual space with the
 conjugate exponent q = p / (p - 1).
+
+Input is checked once, where it enters the library: by the public
+``LpSpace`` methods, ``operators.resolvent``, ``sets.generalized_projection``,
+``driver.HalpernConfig`` and ``experiments.config_from_dict``.  The solver
+loops behind them (Newton, projected gradient, bisection, the driver step)
+run the private kernels below on arrays that were already checked.
 """
 
 from __future__ import annotations
@@ -66,6 +72,26 @@ def _dual_map(x: np.ndarray, exponent: float, nx: float | None = None) -> np.nda
     return nx * _signed_power(x / nx, exponent - 1.0)
 
 
+def _phi(x: np.ndarray, nx: float, jy: np.ndarray, ny: float) -> float:
+    """phi(x, y) from x, ||x||, Jy and ||y||."""
+    v = nx * nx - 2.0 * float(np.dot(x, jy)) + ny * ny
+    # exact nonnegativity can be lost to rounding near x == y
+    return max(v, 0.0)
+
+
+def _dual_combination(
+    lam: float, x: np.ndarray, y: np.ndarray, p: float, q: float, jx=None
+) -> np.ndarray:
+    """J^{-1}(lam*Jx + (1-lam)*Jy), x or y itself at the ends; jx is Jx if known."""
+    if lam == 1.0:
+        return x.copy()
+    if lam == 0.0:
+        return y.copy()
+    if jx is None:
+        jx = _dual_map(x, p)
+    return _dual_map(lam * jx + (1.0 - lam) * _dual_map(y, p), q)
+
+
 @dataclass(frozen=True)
 class LpSpace:
     """R^dim with the p-norm; smooth and uniformly convex for p in (1, inf)."""
@@ -116,11 +142,8 @@ class LpSpace:
         """phi(x, y) = ||x||^2 - 2<x, Jy> + ||y||^2 >= (||x|| - ||y||)^2."""
         x = self.check(x)
         y = self.check(y)
-        nx = _power_norm(x, self.p)
         ny = _power_norm(y, self.p)
-        v = nx * nx - 2.0 * float(np.dot(x, _dual_map(y, self.p, ny))) + ny * ny
-        # exact nonnegativity can be lost to rounding near x == y
-        return max(v, 0.0)
+        return _phi(x, _power_norm(x, self.p), _dual_map(y, self.p, ny), ny)
 
     def dual_convex_combination(self, lam: float, x, y) -> np.ndarray:
         """J^{-1}(lam*Jx + (1-lam)*Jy); ordinary convex combination at p = 2."""
@@ -128,10 +151,4 @@ class LpSpace:
             raise ValueError(f"combination weight must lie in [0, 1], got {lam}")
         x = self.check(x)
         y = self.check(y)
-        if lam == 1.0:
-            return x.copy()
-        if lam == 0.0:
-            return y.copy()
-        return _dual_map(
-            lam * _dual_map(x, self.p) + (1.0 - lam) * _dual_map(y, self.p), self.q
-        )
+        return _dual_combination(lam, x, y, self.p, self.q)

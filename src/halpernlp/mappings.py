@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LpSpace
+from .geometry import LpSpace, _dual_combination, _power_norm
 from .operators import MonotoneOperator, resolvent
 from .sets import AffineSet, ConvexSet, generalized_projection
 from .schedules import Schedule, validate_blend_weights, validate_resolvent_radii
@@ -24,6 +24,7 @@ class ApplyResult:
     point: np.ndarray
     converged: bool
     inner_iterations: int
+    jx: np.ndarray | None = None  # J of the input point, if the mapping computed it
 
 
 class Mapping:
@@ -34,8 +35,8 @@ class Mapping:
         """A known fixed point, or an AffineSet of them."""
         raise NotImplementedError
 
-    def step_diagnostics(self, space: LpSpace, x, jsx) -> dict:
-        """Extra per-step diagnostics at x, given J(S x); none by default."""
+    def step_diagnostics(self, space: LpSpace, jx, jsx) -> dict:
+        """Extra per-step diagnostics from J x and J(S x); none by default."""
         return {}
 
 
@@ -50,7 +51,7 @@ class ResolventMap(Mapping):
 
     def apply(self, space, x, warm=None):
         res = resolvent(space, self.op, self.r, x, z0=warm)
-        return ApplyResult(res.point, res.converged, res.inner_iterations)
+        return ApplyResult(res.point, res.converged, res.inner_iterations, res.jx)
 
     def fixed_point_reference(self, space):
         return self.op.zero_set(space)
@@ -84,29 +85,31 @@ class BlendMap(Mapping):
         if self.beta == 1.0:
             return ApplyResult(space.check(x).copy(), True, 0)
         tx = self.inner.apply(space, x, warm=warm)
+        jx = tx.jx if tx.jx is not None else space.duality_map(x)
         return ApplyResult(
-            space.dual_convex_combination(self.beta, x, tx.point),
+            _dual_combination(self.beta, x, tx.point, space.p, space.q, jx),
             tx.converged,
             tx.inner_iterations,
+            jx,
         )
 
     def fixed_point_reference(self, space):
         return self.inner.fixed_point_reference(space)
 
-    def step_diagnostics(self, space, x, jsx):
+    def step_diagnostics(self, space, jx, jsx):
         """The convexity gap of the blend and ||Jx - J(Tx)||_q, for beta < 1."""
         if self.beta == 1.0:
             return {}
-        beta = self.beta
-        jx = space.duality_map(x)
+        beta, q = self.beta, space.q
         jtx = (jsx - beta * jx) / (1.0 - beta)  # recover J(Tx) from the blend
-        # beta ||Jx||^2 + (1-beta) ||JTx||^2 - ||J S x||^2, in dual norms
+        # beta ||Jx||^2 + (1-beta) ||JTx||^2 - ||J S x||^2, in dual norms; the
+        # public dual norm checks the two inputs once
         uc_ft_gap = (
             beta * space.dual_norm(jx) ** 2
-            + (1.0 - beta) * space.dual_norm(jtx) ** 2
+            + (1.0 - beta) * _power_norm(jtx, q) ** 2
             - space.dual_norm(jsx) ** 2
         )
-        return {"uc_ft_gap": uc_ft_gap, "j_gap": space.dual_norm(jx - jtx)}
+        return {"uc_ft_gap": uc_ft_gap, "j_gap": _power_norm(jx - jtx, q)}
 
 
 class MappingSequence:

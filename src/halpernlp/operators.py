@@ -10,11 +10,12 @@ Jacobians and Levenberg regularization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LpSpace, _power_norm, _signed_power
+from .geometry import LpSpace, _dual_map, _power_norm, _signed_power
 from .sets import AffineSet
 from . import tolerances
 
@@ -35,7 +36,10 @@ def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
 
 
 class MonotoneOperator:
-    """Single-valued maximal monotone map of the space into its dual."""
+    """Single-valued maximal monotone map of the space into its dual.
+
+    ``evaluate`` and ``jacobian`` take a checked float array.
+    """
 
     def evaluate(self, space: LpSpace, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -71,7 +75,7 @@ class _AffineOperator(MonotoneOperator):
     """
 
     def evaluate(self, space, x):
-        return self._bmat @ space.check(x) + self._b0
+        return self._bmat @ x + self._b0
 
     def jacobian(self, space, x):
         return self._bmat
@@ -113,7 +117,7 @@ class DualityResidual(MonotoneOperator):
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
 
     def evaluate(self, space, x):
-        return space.duality_map(x) - space.duality_map(self.z)
+        return _dual_map(x, space.p) - _dual_map(self.z, space.p)
 
     def jacobian(self, space, x):
         return duality_map_jacobian(space, x)
@@ -175,24 +179,31 @@ class ResolventResult:
     residual: float  # ||J(point) + r A(point) - J(x)||_q
     inner_iterations: int
     converged: bool
+    jx: np.ndarray  # J(x), the right-hand side of J z + r A z = J x
 
 
 def resolvent(space: LpSpace, op: MonotoneOperator, r: float, x, z0=None) -> ResolventResult:
     """L_r(x) = (J + rA)^{-1} J x."""
     if r <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {r}")
-    x = space.check(x)
-    jx = space.duality_map(x)
+    jx = space.duality_map(x)  # checks x
+    x = np.asarray(x, dtype=float)
     point = op.closed_form_resolvent(space, r, x, jx)
     if point is None:
         return _newton_resolvent(space, op, r, x, jx, z0)
-    res = _resolvent_residual(space, op, r, point, jx)
-    return ResolventResult(point, res, 0, res <= tolerances.RESOLVENT_TOL)
+    res = _q_norm(space, _residual(space, op, r, space.check(point), jx))
+    return ResolventResult(point, res, 0, res <= tolerances.RESOLVENT_TOL, jx)
 
 
-def _resolvent_residual(space, op, r, z, jx) -> float:
-    g = space.duality_map(z) + r * op.evaluate(space, z) - jx
-    return _power_norm(g, space.q)
+def _residual(space, op, r, z, jx) -> np.ndarray:
+    """J z + r A z - J x at a checked z."""
+    return _dual_map(z, space.p) + r * op.evaluate(space, z) - jx
+
+
+def _q_norm(space, g) -> float:
+    """||g||_q, or inf for a non-finite g: it is no nearer a solution."""
+    res = _power_norm(g, space.q)
+    return math.inf if math.isnan(res) else res
 
 
 def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
@@ -201,15 +212,13 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
         # nudge off the origin where the Jacobian of J degenerates
         z = z + 1e-6
 
-    def g_of(zz):
-        return space.duality_map(zz) + r * op.evaluate(space, zz) - jx
-
-    g = g_of(z)
+    g = _residual(space, op, r, z, jx)
     gnorm = float(np.linalg.norm(g))
+    gq = _q_norm(space, g)
     lam = 0.0
-    best = (z.copy(), _power_norm(g, space.q))
+    best = (z, gq)
     for k in range(1, _NEWTON_MAX_ITER + 1):
-        if _power_norm(g, space.q) <= _NEWTON_GRAD_TOL:
+        if gq <= _NEWTON_GRAD_TOL:
             break
         jac = duality_map_jacobian(space, z) + r * op.jacobian(space, z)
         if lam > 0.0:
@@ -223,8 +232,9 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
         accepted = False
         for _ in range(60):
             cand = z + step * dz
-            gc = g_of(cand)
+            gc = _residual(space, op, r, cand, jx)
             gcn = float(np.linalg.norm(gc))
+            # a non-finite trial residual fails this test and is rejected
             if gcn < gnorm * (1.0 - 1e-4 * step):
                 z, g, gnorm = cand, gc, gcn
                 accepted = True
@@ -232,17 +242,16 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
             step *= 0.5
         if accepted:
             lam *= 0.25
-            q_res = _power_norm(g, space.q)
-            if q_res < best[1]:
-                best = (z.copy(), q_res)
+            gq = _q_norm(space, g)
+            if gq < best[1]:
+                best = (z, gq)
         else:
             lam = max(4.0 * lam, 1e-8)
             if lam > 1e12:
                 break
-    res = _power_norm(g_of(z), space.q)
-    if res > best[1]:
-        z, res = best
-    return ResolventResult(z, res, k, res <= tolerances.RESOLVENT_TOL)
+    if gq > best[1]:
+        z, gq = best
+    return ResolventResult(z, gq, k, gq <= tolerances.RESOLVENT_TOL, jx)
 
 
 def monotonicity_gap(space: LpSpace, op: MonotoneOperator, x, y) -> float:

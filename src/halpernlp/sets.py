@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, LpSpace
+from .geometry import DimensionMismatchError, LpSpace, _dual_map, _power_norm
 from . import tolerances
 
 _PGD_GRAD_TOL = 1e-9
@@ -44,21 +44,23 @@ class ConvexSet:
         return float(np.linalg.norm(x - self.euclidean_project(x))) <= tol
 
     def minimize_phi(self, space: LpSpace, x: np.ndarray):
-        """(argmin of phi(., x) over the set, iterations) for x outside it."""
-        jx = space.duality_map(x)
+        """(argmin of phi(., x) over the set, iterations) for a checked x
+        outside it."""
+        p = space.p
+        jx = _dual_map(x, p)
 
-        def h(y):
-            return space.norm(y) ** 2 - 2.0 * float(np.dot(y, jx))
+        def h(y, ny):  # phi(y, x) - ||x||^2, given ny = ||y||
+            return ny ** 2 - 2.0 * float(np.dot(y, jx))
 
         y = self.euclidean_project(x)  # seed inside C, away from the origin
-        hy = h(y)
+        hy = h(y, space.norm(y))  # the public norm checks the seed once
         # gradients scale with x, so the stationarity cutoff is scale-relative
         grad_tol = _PGD_GRAD_TOL * max(1.0, float(np.linalg.norm(jx)))
         prev_y = None
         prev_grad = None
         stuck = False  # the last step left y bit-for-bit unchanged
         for k in range(1, _PGD_MAX_ITER + 1):
-            grad = 2.0 * (space.duality_map(y) - jx)
+            grad = 2.0 * (_dual_map(y, p) - jx)
             if float(np.linalg.norm(y - self.euclidean_project(y - grad))) <= grad_tol:
                 return y, k - 1
             # Barzilai-Borwein trial step, backtracked by Armijo halving
@@ -72,7 +74,7 @@ class ConvexSet:
             prev_y, prev_grad = y, grad
             while True:
                 cand = self.euclidean_project(y - step * grad)
-                hc = h(cand)
+                hc = h(cand, _power_norm(cand, p))
                 if hc <= hy + _ARMIJO_C * float(np.dot(grad, cand - y)):
                     break
                 step *= 0.5
@@ -91,10 +93,11 @@ class ConvexSet:
         return y, _PGD_MAX_ITER
 
     def vi_residual(self, space: LpSpace, x, proj, rng) -> float:
-        """max over probe points z in C of <z - proj, Jx - J(proj)>."""
+        """max over probe points z in C of <z - proj, Jx - J(proj)>, for a
+        checked x; the public duality map checks proj."""
         if rng is None:
             rng = np.random.default_rng(0)
-        g = space.duality_map(x) - space.duality_map(proj)
+        g = _dual_map(x, space.p) - space.duality_map(proj)
         worst = 0.0
         scale = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(proj)))
         for _ in range(_VI_PROBES):
@@ -147,11 +150,11 @@ class HalfSpace(ConvexSet):
         <a, J^{-1}(Jx - t*a)> is nonincreasing in t, so a bracket-and-bisect
         scalar solve suffices.
         """
-        jx = space.duality_map(x)
-        a = self.a
+        jx = _dual_map(x, space.p)
+        a, q = self.a, space.q
 
         def margin(t: float) -> float:
-            return float(np.dot(a, space.inverse_duality_map(jx - t * a))) - self.b
+            return float(np.dot(a, _dual_map(jx - t * a, q))) - self.b
 
         lo, hi = 0.0, 1.0
         k = 0

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from halpernlp.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -79,3 +81,19 @@ def test_seed_override_flag(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.splitlines()[1].split("\t")[7] == "99"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("stop_tol: 1.0e-2", "stop_tol: .nan"),
+        ("r: {kind: constant, value: 1.0}", "r: {kind: constant, value: .inf}"),
+        ("stop_tol: 1.0e-2}", "stop_tol: 1.0e-2}\ndebug: {perturb_step: .inf}"),
+    ],
+)
+def test_run_rejects_non_finite_float(tmp_path, capsys, old, new):
+    text = (CONFIG_DIR / "p4_line.yaml").read_text()
+    assert old in text
+    path = tmp_path / "bad.yaml"
+    path.write_text(text.replace(old, new))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 5

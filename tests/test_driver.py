@@ -7,6 +7,7 @@ from halpernlp import (
     BlendSequence,
     ConstantSchedule,
     DriftSchedule,
+    DualityResidual,
     GradientOfQuadratic,
     HalfSpace,
     HalpernConfig,
@@ -22,6 +23,7 @@ from halpernlp import (
     reference_solution,
     run_halpern,
 )
+from halpernlp.driver import TRACE_COLUMNS
 from halpernlp.sequences import RealSequencePrefix, TauCertificate, eventually_increasing_tau
 
 
@@ -120,6 +122,79 @@ class TestHalpernStep:
         np.testing.assert_allclose(x_next, u, atol=1e-12)
 
 
+def oracle_config(scheme):
+    """50 steps of a proximal-point run (closed-form resolvent) or of a
+    halpern_mann run whose half-space is active in the early steps."""
+    sp, op, w, rng = quad_problem(seed=4)
+    common = dict(space=sp, alpha=PowerSchedule(), max_iter=50, stop_tol=1e-12)
+    if scheme == "proximal_point":
+        seq = ResolventSequence(op=DualityResidual(z=w), r_schedule=ConstantSchedule(1.0))
+        return HalpernConfig(
+            anchor=rng.standard_normal(4), start=rng.standard_normal(4),
+            constraint=WholeSpace(), sequence=seq, **common,
+        )
+    a = np.ones(4)
+    hs = HalfSpace(a=a, b=float(a @ w) + 0.5)
+    seq = BlendSequence(inner=ResolventMap(op=op, r=1.0), beta_schedule=ConstantSchedule(0.5))
+    return HalpernConfig(
+        anchor=w + 3.0 * a, start=hs.euclidean_project(rng.standard_normal(4)),
+        constraint=hs, sequence=seq, **common,
+    )
+
+
+class TestStepDiagnosticsOracle:
+    """The driver step caches J u, J w, ||w|| and phi(w, u), and carries
+    phi(w, x_n) from the step before; its diagnostics must equal, bit for
+    bit, the same formulas evaluated with the public LpSpace methods."""
+
+    @pytest.mark.parametrize("scheme", ["proximal_point", "halpern_mann"])
+    def test_diagnostics_equal_public_formulas(self, scheme):
+        cfg = oracle_config(scheme)
+        sp, w, u = cfg.space, cfg.reference, cfg.anchor
+        trace = run_halpern(cfg)
+        assert trace.iterations == 50
+        x, prev, projected = cfg.start, None, 0
+        for n in range(1, 51):
+            x_next, y, diag = halpern_step(cfg, n, x, prev=prev)
+            sx, a, i = diag["sx"], cfg.alpha(n), n - 1
+            projected += not cfg.constraint.contains(y, 0.0)
+            phi_x, phi_next = sp.lyapunov(w, x), sp.lyapunov(w, x_next)
+            ju_minus_jw = sp.duality_map(u) - sp.duality_map(w)
+            assert trace.phi_w_x[i] == phi_x
+            assert trace.slack_b[i] == a * sp.lyapunov(w, u) + sp.lyapunov(w, sx) - phi_next
+            assert trace.slack_c[i] == (
+                (1.0 - a) * phi_x + 2.0 * a * sp.pairing(y - w, ju_minus_jw) - phi_next
+            )
+            assert trace.res_fixed_point[i] == sp.norm(x - sx)
+            assert trace.res_y_vs_sx[i] == sp.norm(y - sx)
+            if scheme == "halpern_mann":
+                beta = cfg.sequence.at(n).beta
+                jx, jsx = sp.duality_map(x), sp.duality_map(sx)
+                jtx = (jsx - beta * jx) / (1.0 - beta)
+                gap = (
+                    beta * sp.dual_norm(jx) ** 2
+                    + (1.0 - beta) * sp.dual_norm(jtx) ** 2
+                    - sp.dual_norm(jsx) ** 2
+                )
+                assert trace.uc_ft_gap[i] == gap
+                assert diag["j_gap"] == sp.dual_norm(jx - jtx)
+            x, prev = x_next, diag
+        np.testing.assert_array_equal(x, trace.final_x)
+        if scheme == "halpern_mann":
+            assert projected > 0
+
+    def test_standalone_step_matches_step_in_run(self):
+        # the resolvent has a closed form, so no warm start moves S_n x_n and a
+        # step without carried state must give the run's numbers exactly
+        cfg = oracle_config("proximal_point")
+        trace = run_halpern(cfg)
+        assert [n for n, _ in trace.snapshots] == list(range(1, 51))
+        for n, x in trace.snapshots:
+            _, _, diag = halpern_step(cfg, n, x)
+            for attr, _, _ in TRACE_COLUMNS:
+                assert diag[attr] == getattr(trace, attr)[n - 1], (n, attr)
+
+
 class TestRunProximalPoint:
     def test_stationary_start(self):
         sp, op, w, _ = quad_problem()
@@ -149,6 +224,20 @@ class TestRunProximalPoint:
         # residual against the mapping decays along the tail
         tail = trace.res_y_vs_sx[-max(1, trace.res_y_vs_sx.size // 10):]
         assert float(np.max(tail)) <= 1e-3
+
+    def test_non_finite_settings_rejected(self):
+        sp, op, w, rng = quad_problem()
+        seq = ResolventSequence(op=op, r_schedule=ConstantSchedule(1.0))
+        for over, match in (
+            ({"stop_tol": float("nan")}, "stop_tol"),
+            ({"perturb_step": float("inf")}, "perturb_step"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                HalpernConfig(
+                    space=sp, anchor=w, start=w, constraint=WholeSpace(),
+                    sequence=seq, alpha=PowerSchedule(), max_iter=10,
+                    **{"stop_tol": 1e-3, **over},
+                )
 
     def test_constant_alpha_rejected(self):
         sp, op, w, rng = quad_problem()

@@ -143,9 +143,26 @@ def test_rejects_non_numeric_fields():
         ({"space.dim": 3.7}, "space.dim"),
         ({"seed": 3.9}, "seed"),
         ({"budgets.max_iter": 2.5}, "budgets.max_iter"),
+        # non-finite floats where they have no meaning
+        ({"budgets.stop_tol": float("nan")}, "budgets.stop_tol"),
+        ({"debug.perturb_step": float("inf")}, "debug.perturb_step"),
+        ({"schedules.r.value": float("inf")}, "schedules.r.value"),
+        ({"start.u": [0.0, float("nan"), 1.0]}, "start.u"),
+        ({**BLEND, "constraint": {"variant": "box", "lo": [float("nan")] * 3, "hi": [1.0] * 3}}, "constraint.lo"),
+        ({**BLEND, "constraint": {"variant": "half_space", "a": [1.0, 1.0, 1.0], "b": float("inf")}}, "constraint.b"),
     ):
         with pytest.raises(ConfigError, match=match):
             config_from_dict(small_config(**over))
+
+
+def test_accepts_infinite_box_bounds_and_ball_radius():
+    inf = float("inf")
+    for constraint in (
+        {"variant": "box", "lo": [-inf, -1.0, -inf], "hi": [inf, 1.0, inf]},
+        {"variant": "ball", "center": [0.0, 0.0, 0.0], "radius": inf},
+    ):
+        cfg = config_from_dict(small_config(**BLEND, constraint=constraint))
+        assert cfg.halpern.constraint.contains(np.array([5.0, 0.5, -7.0]))
 
 
 def test_rejects_constrained_proximal_point():

@@ -178,3 +178,16 @@ class TestResolvent:
         res = resolvent(sp, op, 1.0, x)
         g = sp.duality_map(res.point) + op.evaluate(sp, res.point) - sp.duality_map(x)
         assert res.residual == pytest.approx(sp.dual_norm(g), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("r, s", [(1e300, 1e10), (1e200, 1e200), (1.0, 1e300)])
+    def test_non_finite_trial_points_are_rejected(self, r, s):
+        # r A z or the Newton model overflows at this scale; Newton must turn
+        # that into a failed solve with a usable residual, not an exception
+        sp = LpSpace(3, 3.0)
+        op = GradientOfQuadratic(q=np.diag([1.0, 0.5, 0.0]), c=np.array([1.0, 1.0, 0.0]))
+        x = np.array([1.0, -2.0, 3.0]) * s
+        with np.errstate(all="ignore"):
+            res = resolvent(sp, op, r, x)
+        assert not res.converged
+        assert not np.isnan(res.residual)
+        assert np.all(np.isfinite(res.point))
