@@ -6,6 +6,12 @@ L_r = (J + rA)^{-1} J solves J z + r A z = J x; linear cases at p = 2
 use a direct solve, the duality-residual variant has a closed form, and
 the rest use a damped Newton iteration on the residual with analytic
 Jacobians and Levenberg regularization.
+
+The Jacobian of J is diagonal plus rank one.  When the operator's
+Jacobian is a constant diagonal matrix (``GradientOfQuadratic`` or
+``LinearMonotone`` with a diagonal matrix), so is the Newton matrix, and
+each Newton step is solved by the Sherman-Morrison formula in O(dim);
+otherwise the matrix is assembled and solved densely.
 """
 
 from __future__ import annotations
@@ -39,7 +45,11 @@ class MonotoneOperator:
     """Single-valued maximal monotone map of the space into its dual.
 
     ``evaluate`` and ``jacobian`` take a checked float array.
+    ``jacobian_diagonal`` is the diagonal of the Jacobian when that is a
+    constant diagonal matrix, and None otherwise.
     """
+
+    jacobian_diagonal = None
 
     def evaluate(self, space: LpSpace, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -71,10 +81,19 @@ def _affine_zero_set(m: np.ndarray, rhs: np.ndarray):
 class _AffineOperator(MonotoneOperator):
     """A(x) = B x + b0 with B positive semidefinite.
 
-    Subclasses store B as ``_bmat`` and b0 as ``_b0`` in ``__post_init__``.
+    Subclasses pass B and b0 to ``_set_affine`` in ``__post_init__``.
     """
 
+    def _set_affine(self, bmat: np.ndarray, b0: np.ndarray) -> None:
+        object.__setattr__(self, "_bmat", bmat)
+        object.__setattr__(self, "_b0", b0)
+        diag = np.diagonal(bmat).copy()
+        if np.array_equal(bmat, np.diag(diag)):
+            object.__setattr__(self, "jacobian_diagonal", diag)
+
     def evaluate(self, space, x):
+        if self.jacobian_diagonal is not None:
+            return self.jacobian_diagonal * x + self._b0
         return self._bmat @ x + self._b0
 
     def jacobian(self, space, x):
@@ -103,8 +122,7 @@ class LinearMonotone(_AffineOperator):
     def __post_init__(self):
         object.__setattr__(self, "m", _check_psd(self.m, "M"))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "_bmat", self.m)
-        object.__setattr__(self, "_b0", self.b)
+        self._set_affine(self.m, self.b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +136,6 @@ class DualityResidual(MonotoneOperator):
 
     def evaluate(self, space, x):
         return _dual_map(x, space.p) - _dual_map(self.z, space.p)
-
-    def jacobian(self, space, x):
-        return duality_map_jacobian(space, x)
 
     def zero_set(self, space):
         return self.z.copy()
@@ -145,32 +160,30 @@ class GradientOfQuadratic(_AffineOperator):
             raise ValueError("Q must be symmetric")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-        object.__setattr__(self, "_bmat", q)
         # q @ x + (-c) equals q @ x - c bit for bit
-        object.__setattr__(self, "_b0", -self.c)
+        self._set_affine(q, -self.c)
 
 
-def duality_map_jacobian(space: LpSpace, x: np.ndarray) -> np.ndarray:
-    """dJ/dx = (2-p) s^{2-2p} u u' + (p-1) s^{2-p} diag(|x_i|^{p-2}),
-    where s = ||x||_p and u_i = |x_i|^{p-1} sign(x_i); PSD since J is monotone.
+def duality_map_jacobian(space: LpSpace, x: np.ndarray):
+    """dJ/dx = diag(d) + gamma u u', returned as (d, gamma, u).
+
+    With s = ||x||_p: d_i = (p-1) s^{2-p} |x_i|^{p-2}, gamma = (2-p) s^{2-2p}
+    and u_i = |x_i|^{p-1} sign(x_i).  The matrix is PSD since J is monotone.
     """
     p = space.p
-    x = np.asarray(x, dtype=float)
     if p == 2.0:
-        return np.eye(space.dim)
+        return np.ones(space.dim), 0.0, np.zeros(space.dim)
     s = _power_norm(x, p)
     if s == 0.0:
         # J is differentiable at 0 only for p < 2 (with dJ = 0 limit direction
         # issues); return a small multiple of I as a usable Newton model
-        return 1e-8 * np.eye(space.dim)
+        return np.full(space.dim, 1e-8), 0.0, np.zeros(space.dim)
     u = _signed_power(x, p - 1.0)
     ax = np.abs(x)
     # clip the diagonal to keep the Newton model finite for p < 2 at zeros
     diag = np.where(ax > 0, ax ** (p - 2.0), 0.0)
     diag = np.minimum(diag, 1e12)
-    return (2.0 - p) * s ** (2.0 - 2.0 * p) * np.outer(u, u) + (
-        p - 1.0
-    ) * s ** (2.0 - p) * np.diag(diag)
+    return (p - 1.0) * s ** (2.0 - p) * diag, (2.0 - p) * s ** (2.0 - 2.0 * p), u
 
 
 @dataclass
@@ -206,6 +219,28 @@ def _q_norm(space, g) -> float:
     return math.inf if math.isnan(res) else res
 
 
+def _newton_direction(space, op, r, z, g, lam) -> np.ndarray:
+    """Solve (dJ(z) + r dA(z) + lam I) dz = -g; LinAlgError if it is singular."""
+    d, gamma, u = duality_map_jacobian(space, z)
+    bdiag = op.jacobian_diagonal
+    if bdiag is None:
+        jac = gamma * np.outer(u, u) + np.diag(d) + r * op.jacobian(space, z)
+        if lam > 0.0:
+            jac = jac + lam * np.eye(space.dim)
+        return np.linalg.solve(jac, -g)
+    # Sherman-Morrison on diag(dd) + gamma u u'; like a dense solve, a model
+    # that overflowed to NaN gives a NaN step, which the line search rejects
+    dd = d + r * bdiag + lam
+    if (dd <= 0.0).any():
+        raise np.linalg.LinAlgError("non-positive diagonal in the Newton matrix")
+    du = u / dd
+    denom = 1.0 + gamma * float(np.dot(u, du))
+    if denom <= 0.0:
+        raise np.linalg.LinAlgError("non-positive Sherman-Morrison denominator")
+    dg = -g / dd
+    return dg - (gamma * float(np.dot(u, dg)) / denom) * du
+
+
 def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
     z = np.asarray(z0, dtype=float).copy() if z0 is not None else x.copy()
     if not np.any(z):
@@ -215,16 +250,16 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
     g = _residual(space, op, r, z, jx)
     gnorm = float(np.linalg.norm(g))
     gq = _q_norm(space, g)
+    if gq == math.inf:
+        # r A z or J z overflowed: no Newton direction from here is finite
+        return ResolventResult(z, gq, 0, False, jx)
     lam = 0.0
     best = (z, gq)
     for k in range(1, _NEWTON_MAX_ITER + 1):
         if gq <= _NEWTON_GRAD_TOL:
             break
-        jac = duality_map_jacobian(space, z) + r * op.jacobian(space, z)
-        if lam > 0.0:
-            jac = jac + lam * np.eye(space.dim)
         try:
-            dz = np.linalg.solve(jac, -g)
+            dz = _newton_direction(space, op, r, z, g, lam)
         except np.linalg.LinAlgError:
             lam = max(2.0 * lam, 1e-8)
             continue

@@ -313,6 +313,25 @@ def test_criterion_8_anchor_dependence():
     gate.finish()
 
 
+# Steps and summed inner iterations of each shipped config, keyed by the
+# _TRACES entry that criteria 5-7 leave: a change to the inner solvers that
+# keeps these counts kept the iteration they run.
+_SHIPPED_WORK = {
+    "p1": ("p1", 2140, 5193),
+    "p2_divergent": ("p2", 1759, 3649),
+    "p3": ("p3", 4279, 17252),
+    "p4_line": (None, 431, 1313),
+}
+
+
+def test_shipped_configs_keep_their_work():
+    for name, (key, steps, inner) in _SHIPPED_WORK.items():
+        trace = _TRACES.get(key) or run_halpern(
+            parse_config(CONFIG_DIR / f"{name}.yaml").halpern
+        )
+        assert (trace.iterations, int(trace.inner_iters.sum())) == (steps, inner), name
+
+
 def test_criterion_9_per_step_inequalities():
     gate = _Gate(9, "per-step inequality slacks", 5.0)
     gate.expect(_TRACES, "no convergence traces collected")
