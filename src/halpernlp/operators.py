@@ -109,6 +109,8 @@ class _AffineOperator(MonotoneOperator):
         if space.p != 2.0:
             return None
         # J is the identity at p = 2, so (I + rB) z = x - r b0
+        if self.jacobian_diagonal is not None:
+            return (x - r * self._b0) / (1.0 + r * self.jacobian_diagonal)
         return np.linalg.solve(np.eye(space.dim) + r * self._bmat, x - r * self._b0)
 
 
@@ -180,9 +182,11 @@ def duality_map_jacobian(space: LpSpace, x: np.ndarray):
         return np.full(space.dim, 1e-8), 0.0, np.zeros(space.dim)
     u = _signed_power(x, p - 1.0)
     ax = np.abs(x)
-    # clip the diagonal to keep the Newton model finite for p < 2 at zeros
     diag = np.where(ax > 0, ax ** (p - 2.0), 0.0)
-    diag = np.minimum(diag, 1e12)
+    if p < 2.0:
+        # |x_i|^{p-2} blows up at zeros only for p < 2; clipping it for p > 2
+        # would bind at large |x_i| and make the Newton model indefinite
+        diag = np.minimum(diag, 1e12)
     return (p - 1.0) * s ** (2.0 - p) * diag, (2.0 - p) * s ** (2.0 - 2.0 * p), u
 
 

@@ -1,15 +1,23 @@
 """Closed convex sets with membership, Euclidean and generalized projection.
 
-The generalized projection Q_C(x) minimizes phi(y, x) over C.  It is
-computed by minimizing h(y) = ||y||_p^2 - 2<y, Jx> (phi minus the
-constant ||x||^2) with projected gradient descent, Euclidean projection
-per step and Armijo backtracking.  The result carries the residual of
-the variational inequality <z - Q_C(x), Jx - J Q_C(x)> <= 0, probed at
-random points of C.
+The generalized projection Q_C(x) minimizes phi(y, x) over C.  Each
+variant solves it in its own way:
+
+- ``HalfSpace``: bracket-and-bisect on the one multiplier of <a, y> = b;
+- ``Box``: Newton on the scalar t = log ||y||_p, since fixing the norm
+  splits the problem into coordinates (Alber 1996; Kamimura-Takahashi 2002);
+- ``EuclideanBall`` and ``AffineSet``: projected gradient descent on
+  h(y) = ||y||_p^2 - 2<y, Jx> (phi minus the constant ||x||^2), with
+  Euclidean projection per step and Armijo backtracking.
+
+The result carries the residual of the variational inequality
+<z - Q_C(x), Jx - J Q_C(x)> <= 0, probed at random points of C.
+``euclidean_project`` maps a point, or each row of a stack of points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,17 +29,22 @@ _PGD_GRAD_TOL = 1e-9
 _PGD_MAX_ITER = 10_000
 _ARMIJO_C = 1e-4
 _VI_PROBES = 100
+_BOX_MAX_ITER = 100
+# a Newton step on t = log(||y||_p / ||x||_p) this small (relative to
+# max(1, |t|)) is at the rounding level of g(t), so the root is found
+_BOX_STEP_TOL = 4.4e-16
 
 
 class ConvexSet:
     """Base for the canonical nonempty closed convex sets."""
 
     def euclidean_project(self, x: np.ndarray) -> np.ndarray:
+        """Nearest point of the set to x, or to each row of a 2-d x."""
         raise NotImplementedError
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if hasattr(self, "dim") and x.shape != (self.dim,):
+        if hasattr(self, "dim") and x.shape[-1:] != (self.dim,):
             raise DimensionMismatchError(
                 f"expected a vector of length {self.dim}, got shape {x.shape}"
             )
@@ -98,12 +111,11 @@ class ConvexSet:
         if rng is None:
             rng = np.random.default_rng(0)
         g = _dual_map(x, space.p) - space.duality_map(proj)
-        worst = 0.0
         scale = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(proj)))
-        for _ in range(_VI_PROBES):
-            z = self.euclidean_project(proj + scale * rng.standard_normal(space.dim))
-            worst = max(worst, float(np.dot(z - proj, g)))
-        return worst
+        # one probe per row: the same draws, in the same order, as one
+        # standard_normal(dim) call per probe
+        z = self.euclidean_project(proj + scale * rng.standard_normal((_VI_PROBES, space.dim)))
+        return max(0.0, float(np.max((z - proj) @ g)))
 
 
 @dataclass(frozen=True)
@@ -132,6 +144,7 @@ class HalfSpace(ConvexSet):
             raise ValueError("half-space normal must be nonzero")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "_aa", float(np.dot(a, a)))
 
     @property
     def dim(self) -> int:
@@ -139,10 +152,13 @@ class HalfSpace(ConvexSet):
 
     def euclidean_project(self, x):
         x = self._check_dim(x)
+        if x.ndim > 1:
+            excess = np.maximum(x @ self.a - self.b, 0.0)
+            return x - (excess / self._aa)[:, None] * self.a
         excess = float(np.dot(self.a, x)) - self.b
         if excess <= 0.0:
             return x.copy()
-        return x - excess / float(np.dot(self.a, self.a)) * self.a
+        return x - excess / self._aa * self.a
 
     def minimize_phi(self, space, x):
         """The optimality condition pins the minimizer to J(y) = J(x) - t*a
@@ -163,8 +179,10 @@ class HalfSpace(ConvexSet):
             k += 1
             if hi > 1e30:
                 break
-        while hi - lo > 1e-16 * max(1.0, hi) and k < 300:
+        while hi - lo > 1e-16 * max(1.0, hi):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # lo and hi are adjacent floats
             if margin(mid) > 0.0:
                 lo = mid
             else:
@@ -195,6 +213,49 @@ class Box(ConvexSet):
     def euclidean_project(self, x):
         return np.clip(self._check_dim(x), self.lo, self.hi)
 
+    def minimize_phi(self, space, x):
+        """Fixing s = ||y||_p splits the optimality conditions by coordinate:
+        wherever lo_i < y_i < hi_i, (Jy)_i = s^{2-p} |y_i|^{p-1} sign(y_i)
+        equals (Jx)_i, so y_i = (s/||x||)^e x_i with e = (p-2)/(p-1).  The
+        minimizer is y(s) = clip((s/||x||)^e x, lo, hi) at the one root of
+        ||y(s)||_p = s.  In t = log(s/||x||) that root solves
+        g(t) = log(||y||/||x||) - t = 0, where g'(t) = e*F - 1 < 0 and F is
+        the share of ||y||^p on unclipped coordinates.  Newton on t from
+        t = 0 (s = ||x||), safeguarded by a bracket.
+        """
+        p = space.p
+        e = (p - 2.0) / (p - 1.0)
+        nx = _power_norm(x, p)
+        if nx == 0.0:
+            return self.euclidean_project(x), 0  # y(s) = clip(0) for every s
+        t = 0.0
+        lo_t, hi_t = -math.inf, math.inf  # g > 0 below the root, g < 0 above
+        for k in range(1, _BOX_MAX_ITER + 1):
+            z = math.exp(e * t) * x
+            y = np.clip(z, self.lo, self.hi)
+            a = np.abs(y)
+            m = float(a.max())
+            if m == 0.0:
+                return y, k  # every coordinate clips to 0, whatever s is
+            w = (a / m) ** p  # ||y||_p = m * sum(w)^(1/p), scale-safe
+            total = float(w.sum())
+            g = math.log(m / nx) + math.log(total) / p - t
+            if g > 0.0:
+                lo_t = t
+            elif g < 0.0:
+                hi_t = t
+            else:
+                return y, k
+            step = g / (1.0 - e * float(w[y == z].sum()) / total)
+            if abs(step) <= _BOX_STEP_TOL * max(1.0, abs(t)):
+                return y, k
+            t += step
+            if not lo_t < t < hi_t:  # Newton left the bracket: bisect it
+                t = 0.5 * (lo_t + hi_t)
+                if not lo_t < t < hi_t:
+                    return y, k  # the bracket can no longer shrink
+        return y, _BOX_MAX_ITER
+
 
 @dataclass(frozen=True, eq=False)
 class EuclideanBall(ConvexSet):
@@ -215,6 +276,9 @@ class EuclideanBall(ConvexSet):
     def euclidean_project(self, x):
         x = self._check_dim(x)
         d = x - self.center
+        if x.ndim > 1:
+            nd = np.linalg.norm(d, axis=-1, keepdims=True)
+            return self.center + (self.radius / np.maximum(nd, self.radius)) * d
         nd = float(np.linalg.norm(d))
         if nd <= self.radius:
             return x.copy()
@@ -254,8 +318,9 @@ class AffineSet(ConvexSet):
         r = x - self.point
         basis = self._basis
         if basis.shape[0] == 0:
-            return self.point.copy()
-        return self.point + basis.T @ (basis @ r)
+            return np.broadcast_to(self.point, x.shape).copy()
+        # row-vector form: for one point, the same BLAS calls as basis.T @ (basis @ r)
+        return self.point + (r @ basis.T) @ basis
 
 
 @dataclass

@@ -236,10 +236,8 @@ class TestDualityMapJacobian:
             np.testing.assert_array_equal(jac, jac.T)
             assert self.min_relative_eigenvalue(jac) >= -1e-12
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the 1e12 clip on |x_i|^{p-2} also binds for p > 2 at large |x_i| "
-        "and leaves the negative rank-one term unbalanced"))
     def test_psd_where_the_clip_binds(self, rng):
+        # |x_i|^{p-2} > 1e12 here; the clip meant for p < 2 must not apply
         sp = LpSpace(6, 10.0)
         jac = self.dense(sp, rng.standard_normal(6) * 1e3)
         assert self.min_relative_eigenvalue(jac) >= -1e-12
@@ -290,3 +288,30 @@ def test_structured_newton_matches_dense_oracle(dim):
             gap = np.linalg.norm(res.point - oracle.point)
             assert gap <= 1e-10 * np.linalg.norm(oracle.point), tag
     assert dense_converged >= 10
+
+
+@pytest.mark.parametrize("p", [6.0, 10.0])
+def test_cold_newton_converges_at_large_p(p):
+    # large |z_i| at p > 2 once tripped the clip meant for p < 2, and the
+    # indefinite Newton model then stalled at the iteration cap
+    rng = np.random.default_rng(int(p))
+    sp = LpSpace(10, p)
+    op = GradientOfQuadratic(q=np.diag(np.linspace(0.1, 1.0, 10)), c=1e3 * rng.standard_normal(10))
+    for _ in range(10):
+        res = resolvent(sp, op, 1.0, 1e3 * rng.standard_normal(10))
+        assert res.converged
+        assert res.inner_iterations < 100
+
+
+def test_diagonal_p2_closed_form_matches_dense_solve(rng):
+    sp = LpSpace(5, 2.0)
+    qdiag = rng.uniform(0.0, 2.0, 5)
+    c = rng.standard_normal(5)
+    ops = [GradientOfQuadratic(q=np.diag(qdiag), c=c), LinearMonotone(m=np.diag(qdiag), b=-c)]
+    for r in (0.1, 1.0, 30.0):
+        x = rng.standard_normal(5)
+        dense = np.linalg.solve(np.eye(5) + r * np.diag(qdiag), x + r * c)
+        for op in ops:
+            res = resolvent(sp, op, r, x)
+            assert res.inner_iterations == 0 and res.converged
+            np.testing.assert_allclose(res.point, dense, rtol=1e-14, atol=1e-14)
