@@ -30,9 +30,9 @@ _PGD_MAX_ITER = 10_000
 _ARMIJO_C = 1e-4
 _VI_PROBES = 100
 _BOX_MAX_ITER = 100
-# a Newton step on t = log(||y||_p / ||x||_p) this small (relative to
-# max(1, |t|)) is at the rounding level of g(t), so the root is found
-_BOX_STEP_TOL = 4.4e-16
+# g(t) = log||y||_p - log||x||_p - t sums terms each rounded to about eps
+# times its size; below eps times their sizes its sign is noise
+_BOX_G_TOL = 2.2e-16
 
 
 class ConvexSet:
@@ -42,11 +42,14 @@ class ConvexSet:
         """Nearest point of the set to x, or to each row of a 2-d x."""
         raise NotImplementedError
 
-    def _check_dim(self, x: np.ndarray) -> np.ndarray:
+    def _check_dim(self, x: np.ndarray, rows: bool = False) -> np.ndarray:
+        """x as floats: a vector of length dim, or with rows=True also a 2-d
+        stack of such vectors."""
         x = np.asarray(x, dtype=float)
-        if hasattr(self, "dim") and x.shape[-1:] != (self.dim,):
+        if x.ndim not in ((1, 2) if rows else (1,)) or x.shape[-1] != self.dim:
             raise DimensionMismatchError(
-                f"expected a vector of length {self.dim}, got shape {x.shape}"
+                f"expected a vector of length {self.dim}"
+                f"{' or a stack of them' if rows else ''}, got shape {x.shape}"
             )
         return x
 
@@ -151,14 +154,9 @@ class HalfSpace(ConvexSet):
         return self.a.shape[0]
 
     def euclidean_project(self, x):
-        x = self._check_dim(x)
-        if x.ndim > 1:
-            excess = np.maximum(x @ self.a - self.b, 0.0)
-            return x - (excess / self._aa)[:, None] * self.a
-        excess = float(np.dot(self.a, x)) - self.b
-        if excess <= 0.0:
-            return x.copy()
-        return x - excess / self._aa * self.a
+        x = self._check_dim(x, rows=True)
+        excess = np.maximum(x @ self.a - self.b, 0.0)
+        return x - (excess / self._aa)[..., None] * self.a
 
     def minimize_phi(self, space, x):
         """The optimality condition pins the minimizer to J(y) = J(x) - t*a
@@ -211,7 +209,7 @@ class Box(ConvexSet):
         return self.lo.shape[0]
 
     def euclidean_project(self, x):
-        return np.clip(self._check_dim(x), self.lo, self.hi)
+        return np.clip(self._check_dim(x, rows=True), self.lo, self.hi)
 
     def minimize_phi(self, space, x):
         """Fixing s = ||y||_p splits the optimality conditions by coordinate:
@@ -221,40 +219,54 @@ class Box(ConvexSet):
         ||y(s)||_p = s.  In t = log(s/||x||) that root solves
         g(t) = log(||y||/||x||) - t = 0, where g'(t) = e*F - 1 < 0 and F is
         the share of ||y||^p on unclipped coordinates.  Newton on t from
-        t = 0 (s = ||x||), safeguarded by a bracket.
+        t = 0 (s = ||x||), safeguarded by a bracket, until g is at its
+        rounding level.  Magnitudes are carried as logs: (s/||x||)^e x
+        saturates to +-inf instead of overflowing when s is far from ||x||,
+        and g stays finite even then.
         """
         p = space.p
         e = (p - 2.0) / (p - 1.0)
-        nx = _power_norm(x, p)
-        if nx == 0.0:
+        if not np.any(x):
             return self.euclidean_project(x), 0  # y(s) = clip(0) for every s
+        sx = np.sign(x)
         t = 0.0
         lo_t, hi_t = -math.inf, math.inf  # g > 0 below the root, g < 0 above
-        for k in range(1, _BOX_MAX_ITER + 1):
-            z = math.exp(e * t) * x
-            y = np.clip(z, self.lo, self.hi)
-            a = np.abs(y)
-            m = float(a.max())
-            if m == 0.0:
-                return y, k  # every coordinate clips to 0, whatever s is
-            w = (a / m) ** p  # ||y||_p = m * sum(w)^(1/p), scale-safe
-            total = float(w.sum())
-            g = math.log(m / nx) + math.log(total) / p - t
-            if g > 0.0:
-                lo_t = t
-            elif g < 0.0:
-                hi_t = t
-            else:
-                return y, k
-            step = g / (1.0 - e * float(w[y == z].sum()) / total)
-            if abs(step) <= _BOX_STEP_TOL * max(1.0, abs(t)):
-                return y, k
-            t += step
-            if not lo_t < t < hi_t:  # Newton left the bracket: bisect it
-                t = 0.5 * (lo_t + hi_t)
-                if not lo_t < t < hi_t:
-                    return y, k  # the bracket can no longer shrink
+        with np.errstate(divide="ignore", over="ignore"):
+            lx = np.log(np.abs(x))  # -inf on zero coordinates
+            lnx = _log_power_norm(lx, p)[0]
+            for k in range(1, _BOX_MAX_ITER + 1):
+                lz = e * t + lx
+                z = sx * np.exp(lz)
+                y = np.clip(z, self.lo, self.hi)
+                free = y == z
+                ly = np.where(free, lz, np.log(np.abs(y)))
+                lny, w = _log_power_norm(ly, p)
+                if lny == -math.inf:
+                    return y, k  # every coordinate clips to 0, whatever s is
+                g = lny - lnx - t
+                if abs(g) <= _BOX_G_TOL * (1.0 + abs(lny) + abs(lnx) + abs(t)):
+                    return y, k  # g is at its rounding level: the root is found
+                if g > 0.0:
+                    lo_t = t
+                else:
+                    hi_t = t
+                t += g / (1.0 - e * float(w[free].sum()) / float(w.sum()))
+                if not lo_t < t < hi_t:  # Newton left the bracket: bisect it
+                    t = 0.5 * (lo_t + hi_t)
+                    if not lo_t < t < hi_t:
+                        return y, k  # the bracket can no longer shrink
         return y, _BOX_MAX_ITER
+
+
+def _log_power_norm(la: np.ndarray, p: float):
+    """(log ||a||_p, w) from la = log|a|, where w = (|a|/max|a|)^p is each
+    coordinate's share of ||a||_p^p up to a common factor; (-inf, None)
+    when a = 0."""
+    m = float(la.max())
+    if m == -math.inf:
+        return m, None
+    w = np.exp(p * (la - m))
+    return m + math.log(float(w.sum())) / p, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +286,7 @@ class EuclideanBall(ConvexSet):
         return self.center.shape[0]
 
     def euclidean_project(self, x):
-        x = self._check_dim(x)
+        x = self._check_dim(x, rows=True)
         d = x - self.center
         if x.ndim > 1:
             nd = np.linalg.norm(d, axis=-1, keepdims=True)
@@ -314,7 +326,7 @@ class AffineSet(ConvexSet):
         return self.point.shape[0]
 
     def euclidean_project(self, x):
-        x = self._check_dim(x)
+        x = self._check_dim(x, rows=True)
         r = x - self.point
         basis = self._basis
         if basis.shape[0] == 0:

@@ -86,6 +86,26 @@ class TestMembershipAndEuclideanProjection:
         with pytest.raises(DimensionMismatchError):
             hs.contains(np.zeros(3))
 
+    def test_membership_takes_one_point_and_projection_at_most_a_stack(self):
+        for cset in sample_sets() + [AffineSet(point=np.ones(3), directions=np.eye(3)[:1])]:
+            for shape in [(), (2,), (4, 3), (2, 4, 3)]:
+                with pytest.raises(DimensionMismatchError):
+                    cset.contains(np.zeros(shape))
+            for shape in [(), (2,), (2, 4, 3)]:
+                with pytest.raises(DimensionMismatchError):
+                    cset.euclidean_project(np.zeros(shape))
+            assert cset.euclidean_project(np.zeros((4, 3))).shape == (4, 3)
+
+    def test_halfspace_projects_one_point_by_the_scalar_formula(self, rng):
+        # the row formula on a single point keeps the bits of
+        # x - (<a, x> - b) / <a, a> * a, and leaves points inside unchanged
+        hs = HalfSpace(a=rng.standard_normal(5), b=0.3)
+        for _ in range(50):
+            x = 2.0 * rng.standard_normal(5)
+            excess = float(np.dot(hs.a, x)) - hs.b
+            want = x if excess <= 0.0 else x - excess / float(np.dot(hs.a, hs.a)) * hs.a
+            np.testing.assert_array_equal(hs.euclidean_project(x), want)
+
     def test_affine_set(self, rng):
         # the line {(2, t)}
         line = AffineSet(point=np.array([2.0, 0.0]), directions=np.array([[0.0, 1.0]]))
@@ -299,6 +319,51 @@ class TestBoxScalarSolve:
             assert res.converged
             oracle, _ = ConvexSet.minimize_phi(box, sp, x)
             np.testing.assert_allclose(oracle, np.zeros(3), atol=1e-8)
+
+    def test_answers_far_from_the_input_norm_do_not_overflow(self):
+        # (s/||x||)^e overflows a float here: at p = 1.1, e = -9 and s is
+        # 1e-40 times ||x||; at p = 10 s is 1e400 times ||x||
+        tiny = Box(lo=np.zeros(2), hi=np.full(2, 1e-40))
+        res = generalized_projection(LpSpace(2, 1.1), tiny, np.ones(2))
+        np.testing.assert_array_equal(res.point, [1e-40, 1e-40])
+        assert res.converged
+        far = Box(lo=np.array([1e100, -np.inf]), hi=np.full(2, np.inf))
+        x = np.full(2, 1e-300)
+        res = generalized_projection(LpSpace(2, 10.0), far, x)
+        assert res.converged and res.point[0] == 1e100
+        # the free coordinate is (s/||x||)^e x_2 with s = ||y|| = 1e100 in
+        # floats and e = 8/9
+        log_y2 = 8.0 / 9.0 * (np.log(1e100) - np.log(2.0) / 10.0 - np.log(1e-300)) + np.log(1e-300)
+        assert res.point[1] == pytest.approx(np.exp(log_y2), rel=1e-12)
+        # the first Newton step from t = 0 goes to t = -92, where the free,
+        # unbounded second coordinate is e^714 and saturates to inf
+        half_open = Box(lo=np.array([0.0, -np.inf]), hi=np.array([1e-40, np.inf]))
+        res = generalized_projection(LpSpace(2, 1.1), half_open, np.array([1.0, 1e-50]))
+        assert res.converged and res.point[0] == 1e-40
+        # y_2 = (s/||x||)^e x_2 with s = ||y|| = y_2 in floats: y_2^10 = 1e-50
+        assert res.point[1] == pytest.approx(1e-5, rel=1e-12)
+
+    @pytest.mark.parametrize("x, lo, hi", [
+        # p = 3 inputs whose root has |g| near 3e-16 on both sides: Newton
+        # steps just above a step tolerance swapped the sign of g until the
+        # 100-iteration cap
+        ([-0.08698069035424413, 4.643971432438595, -0.011670613401656574, 0.08417981438338719],
+         [-0.2766195613107465, -0.7274126718410557, -0.05720174523017783, -0.038639277244517885],
+         [-0.20286699549449438, 15.331447944953212, -0.019633876440858213, -0.020828784710803364]),
+        ([0.004378161515721977, -1.1802587664178184, 17.33715103257781,
+          -0.4343427340852176, 0.4463131143145291],
+         [-0.7045793699744565, -2.5257154975551273, -12.541240939475237,
+          -0.27302458614005964, -0.11344445522420721],
+         [0.2603001120902544, -0.7344892412595121, 112.83015612158513,
+          0.620373405289089, 0.22930274035026887]),
+    ])
+    def test_newton_stops_at_the_rounding_level_of_g(self, x, lo, hi):
+        x = np.array(x)
+        sp = LpSpace(x.size, 3.0)
+        box = Box(lo=np.array(lo), hi=np.array(hi))
+        y, iters = box.minimize_phi(sp, x)
+        assert iters <= 4
+        assert box_vi_gap(sp, box, x, y) <= 1e-14 * np.linalg.norm(x) ** 2
 
     def test_zero_input_goes_to_the_least_norm_point(self):
         box = Box(lo=np.array([1.0, -1.0]), hi=np.array([2.0, 1.0]))
