@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -99,7 +100,7 @@ def _cmd_verify_lemmas(args) -> int:
     ok &= bad_osc == bad_mono == 0
 
     orbit = xu_recursion(
-        1.0, lambda n: min(1.0, 1.0 / np.sqrt(n)), lambda n: 1.0 / n, 100_000
+        1.0, lambda n: min(1.0, 1.0 / math.sqrt(n)), lambda n: 1.0 / n, 100_000
     )
     tail = float(orbit.values[-1])
     print(f"summability recursion tail at N=1e5: {tail:.3e} "

@@ -17,6 +17,10 @@ Each step records the two theorem-bearing inequality slacks
 
 and the boundedness bound phi(w,x_n) <= max{phi(w,x_1), phi(w,u)}.
 Violations beyond tolerance indicate implementation bugs, not bad luck.
+
+A step computes ||.||_p and J once for each point it touches: x_{n+1}'s
+come from phi(w, x_{n+1}) and are the next step's J x_n, and S_n x_n's come
+from the resolvent's residual at its answer when S_n is a resolvent.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LpSpace, _dual_map, _phi, _power_norm
+from .geometry import LpSpace, NormedPoint, _normed, _phi, _power_norm
 from .mappings import MappingSequence
 from .schedules import Schedule, validate_anchor_weights
 from .sets import AffineSet, ConvexSet, generalized_projection
@@ -145,19 +149,24 @@ class IterationTrace:
         return float(min(np.min(self.slack_b), np.min(self.slack_c)))
 
 
-def _phi_w(cfg: HalpernConfig, v: np.ndarray) -> float:
-    """phi(w, v) for the reference point w."""
-    p = cfg.space.p
-    nv = _power_norm(v, p)
-    return _phi(cfg.reference, cfg.reference_norm, _dual_map(v, p, nv), nv)
+def _phi_w(cfg: HalpernConfig, v: np.ndarray) -> tuple[float, NormedPoint]:
+    """phi(w, v) for the reference point w, and v with its norm and J."""
+    v = _normed(v, cfg.space.p)
+    return _phi(cfg.reference, cfg.reference_norm, v.jx, v.norm), v
 
 
 def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     """One step of the scheme; returns (x_next, y, diagnostics dict).
 
-    ``prev`` is the diagnostics dict of the step that produced x: its S x
-    warm-starts the inner solve, and its phi(w, x_{n+1}) is phi(w, x_n)
-    here.  Without it the step computes phi(w, x_n) itself.
+    ``prev`` is the diagnostics dict of the step that produced x.  It
+    carries phi(w, x_n) and J x_n, computed for x_{n+1} there, and the
+    mapping's warm start (for a resolvent, its last answer with that
+    answer's norm and J).  Without it the step computes phi(w, x_n) itself
+    and the mapping computes J x_n, checking x_n.
+
+    ||S_n x_n|| and J S_n x_n come from the mapping when its output is a
+    resolvent's answer, whose residual computed them; otherwise the step
+    computes them.
     """
     space = cfg.space
     p = space.p
@@ -165,10 +174,13 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     x = np.asarray(x, dtype=float)
     a = cfg.alpha(n)
     mapping = cfg.sequence.at(n)
-    applied = mapping.apply(space, x, warm=None if prev is None else prev["sx"])
-    sx = applied.point
-    nsx = _power_norm(sx, p)
-    jsx = _dual_map(sx, p, nsx)
+    if prev is None:
+        warm = jx = None
+        phi_w_xn = _phi_w(cfg, x)[0]
+    else:
+        warm, jx, phi_w_xn = prev["warm"], prev["next"].jx, prev["phi_w_next"]
+    applied = mapping.apply(space, x, warm=warm, jx=jx)
+    sx, nsx, jsx = applied.normed if applied.normed is not None else _normed(applied.point, p)
     jy = a * cfg.anchor_dual + (1.0 - a) * jsx
     y = space.inverse_duality_map(jy)
     if cfg.perturb_step:
@@ -181,8 +193,7 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
         x_next = proj.point
         proj_converged, proj_iters = proj.converged, proj.inner_iterations
 
-    phi_w_xn = _phi_w(cfg, x) if prev is None else prev["phi_w_next"]
-    phi_w_next = _phi_w(cfg, x_next)
+    phi_w_next, x_next_normed = _phi_w(cfg, x_next)
     slack_b = a * cfg.phi_w_u + _phi(w, cfg.reference_norm, jsx, nsx) - phi_w_next
     slack_c = (
         (1.0 - a) * phi_w_xn
@@ -194,6 +205,8 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
         "n": n,
         "alpha": a,
         "sx": sx,
+        "warm": applied.warm,
+        "next": x_next_normed,
         "phi_w_x": phi_w_xn,
         "phi_w_next": phi_w_next,
         "res_fixed_point": _power_norm(x - sx, p),

@@ -299,12 +299,14 @@ def config_from_dict(
     return ExperimentConfig(experiment_id=exp_id, seed=seed, scheme=scheme, halpern=halpern)
 
 
+# One %-format per row: %d for integer columns, %.17g (round-trip) for floats.
+_CSV_ROW = ",".join("%d" if kind is int else "%.17g" for _, _, kind in TRACE_COLUMNS)
+
+
 def write_trace_csv(trace: IterationTrace, path: Path) -> None:
-    cols = [(getattr(trace, attr), kind) for attr, _, kind in TRACE_COLUMNS]
+    cols = [getattr(trace, attr).tolist() for attr, _, _ in TRACE_COLUMNS]
     lines = ["# halpernlp trace schema v1", ",".join(CSV_COLUMNS)]
-    for i in range(trace.n.size):
-        cells = (str(int(c[i])) if kind is int else f"{c[i]:.17g}" for c, kind in cols)
-        lines.append(",".join(cells))
+    lines += [_CSV_ROW % row for row in zip(*cols)]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -19,6 +19,7 @@ run the private kernels below on arrays that were already checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,10 +49,10 @@ def _as_finite_array(x, dim: int) -> np.ndarray:
 def _power_norm(x: np.ndarray, exponent: float) -> float:
     # rescale by the max coordinate so large exponents cannot overflow
     a = np.abs(x)
-    m = float(a.max(initial=0.0))
+    m = float(np.maximum.reduce(a, initial=0.0))
     if m == 0.0:
         return 0.0
-    return m * float(((a / m) ** exponent).sum()) ** (1.0 / exponent)
+    return m * float(np.add.reduce((a / m) ** exponent)) ** (1.0 / exponent)
 
 
 def _signed_power(x: np.ndarray, exponent: float) -> np.ndarray:
@@ -72,6 +73,23 @@ def _dual_map(x: np.ndarray, exponent: float, nx: float | None = None) -> np.nda
     return nx * _signed_power(x / nx, exponent - 1.0)
 
 
+class NormedPoint(NamedTuple):
+    """A checked point with its p-norm and its image under J.
+
+    The solver loops compute ||x||_p and Jx once per point and pass this
+    along, so that a later consumer of the same point does not recompute them.
+    """
+
+    x: np.ndarray
+    norm: float
+    jx: np.ndarray
+
+
+def _normed(x: np.ndarray, p: float) -> NormedPoint:
+    nx = _power_norm(x, p)
+    return NormedPoint(x, nx, _dual_map(x, p, nx))
+
+
 def _phi(x: np.ndarray, nx: float, jy: np.ndarray, ny: float) -> float:
     """phi(x, y) from x, ||x||, Jy and ||y||."""
     v = nx * nx - 2.0 * float(np.dot(x, jy)) + ny * ny
@@ -80,16 +98,19 @@ def _phi(x: np.ndarray, nx: float, jy: np.ndarray, ny: float) -> float:
 
 
 def _dual_combination(
-    lam: float, x: np.ndarray, y: np.ndarray, p: float, q: float, jx=None
+    lam: float, x: np.ndarray, y: np.ndarray, p: float, q: float, jx=None, jy=None
 ) -> np.ndarray:
-    """J^{-1}(lam*Jx + (1-lam)*Jy), x or y itself at the ends; jx is Jx if known."""
+    """J^{-1}(lam*Jx + (1-lam)*Jy), x or y itself at the ends; jx and jy are
+    Jx and Jy if known."""
     if lam == 1.0:
         return x.copy()
     if lam == 0.0:
         return y.copy()
     if jx is None:
         jx = _dual_map(x, p)
-    return _dual_map(lam * jx + (1.0 - lam) * _dual_map(y, p), q)
+    if jy is None:
+        jy = _dual_map(y, p)
+    return _dual_map(lam * jx + (1.0 - lam) * jy, q)
 
 
 @dataclass(frozen=True)

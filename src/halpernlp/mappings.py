@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LpSpace, _dual_combination, _power_norm
+from .geometry import LpSpace, NormedPoint, _dual_combination, _power_norm
 from .operators import MonotoneOperator, resolvent
 from .sets import AffineSet, ConvexSet, generalized_projection
 from .schedules import Schedule, validate_blend_weights, validate_resolvent_radii
@@ -24,11 +24,15 @@ class ApplyResult:
     point: np.ndarray
     converged: bool
     inner_iterations: int
-    jx: np.ndarray | None = None  # J of the input point, if the mapping computed it
+    jx: np.ndarray | None = None  # J of the input point, if the mapping used it
+    normed: NormedPoint | None = None  # the point with its norm and J, if known
+    warm: NormedPoint | None = None  # where the next application's inner solve starts
 
 
 class Mapping:
-    def apply(self, space: LpSpace, x, warm=None) -> ApplyResult:
+    def apply(self, space: LpSpace, x, warm=None, jx=None) -> ApplyResult:
+        """S x.  ``warm`` is the ``warm`` of the previous application, and
+        ``jx`` is J x for a checked x when the caller has it."""
         raise NotImplementedError
 
     def fixed_point_reference(self, space: LpSpace):
@@ -49,9 +53,11 @@ class ResolventMap(Mapping):
         if self.r <= 0:
             raise ValueError("resolvent parameter must be positive")
 
-    def apply(self, space, x, warm=None):
-        res = resolvent(space, self.op, self.r, x, z0=warm)
-        return ApplyResult(res.point, res.converged, res.inner_iterations, res.jx)
+    def apply(self, space, x, warm=None, jx=None):
+        res = resolvent(space, self.op, self.r, x, z0=warm, jx=jx)
+        return ApplyResult(
+            res.point, res.converged, res.inner_iterations, res.jx, res.normed, res.normed
+        )
 
     def fixed_point_reference(self, space):
         return self.op.zero_set(space)
@@ -61,7 +67,7 @@ class ResolventMap(Mapping):
 class ProjectionMap(Mapping):
     cset: ConvexSet
 
-    def apply(self, space, x, warm=None):
+    def apply(self, space, x, warm=None, jx=None):
         res = generalized_projection(space, self.cset, x)
         return ApplyResult(res.point, res.converged, res.inner_iterations)
 
@@ -81,16 +87,20 @@ class BlendMap(Mapping):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("blend weight must lie in [0, 1]")
 
-    def apply(self, space, x, warm=None):
+    def apply(self, space, x, warm=None, jx=None):
         if self.beta == 1.0:
-            return ApplyResult(space.check(x).copy(), True, 0)
-        tx = self.inner.apply(space, x, warm=warm)
+            return ApplyResult(space.check(x).copy(), True, 0, warm=warm)
+        tx = self.inner.apply(space, x, warm=warm, jx=jx)
         jx = tx.jx if tx.jx is not None else space.duality_map(x)
+        jtx = None if tx.normed is None else tx.normed.jx
+        # the next inner solve starts from T x, not from the blend output,
+        # which lies between x and T x
         return ApplyResult(
-            _dual_combination(self.beta, x, tx.point, space.p, space.q, jx),
+            _dual_combination(self.beta, x, tx.point, space.p, space.q, jx, jtx),
             tx.converged,
             tx.inner_iterations,
             jx,
+            warm=tx.warm,
         )
 
     def fixed_point_reference(self, space):

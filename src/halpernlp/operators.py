@@ -12,6 +12,13 @@ Jacobian is a constant diagonal matrix (``GradientOfQuadratic`` or
 ``LinearMonotone`` with a diagonal matrix), so is the Newton matrix, and
 each Newton step is solved by the Sherman-Morrison formula in O(dim);
 otherwise the matrix is assembled and solved densely.
+
+Newton computes ||z||_p and J z once per trial point, in the residual, and
+keeps them with its accepted iterate (and its best-so-far fallback) as a
+``NormedPoint``: the Jacobian of J takes ||z||_p from there, and
+``ResolventResult.normed`` returns them with the answer.  A caller that has
+J x or a warm start's norm and J passes them in instead of having them
+recomputed.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LpSpace, _dual_map, _power_norm, _signed_power
+from .geometry import LpSpace, NormedPoint, _dual_map, _normed, _power_norm
 from .sets import AffineSet
 from . import tolerances
 
@@ -166,23 +173,25 @@ class GradientOfQuadratic(_AffineOperator):
         self._set_affine(q, -self.c)
 
 
-def duality_map_jacobian(space: LpSpace, x: np.ndarray):
-    """dJ/dx = diag(d) + gamma u u', returned as (d, gamma, u).
+def duality_map_jacobian(space: LpSpace, x: np.ndarray, s: float | None = None):
+    """dJ/dx = diag(d) + gamma u u', returned as (d, gamma, u); s is ||x||_p if known.
 
     With s = ||x||_p: d_i = (p-1) s^{2-p} |x_i|^{p-2}, gamma = (2-p) s^{2-2p}
-    and u_i = |x_i|^{p-1} sign(x_i).  The matrix is PSD since J is monotone.
+    and u_i = |x_i|^{p-1} sign(x_i) = x_i |x_i|^{p-2}.  The matrix is PSD
+    since J is monotone.
     """
     p = space.p
     if p == 2.0:
         return np.ones(space.dim), 0.0, np.zeros(space.dim)
-    s = _power_norm(x, p)
+    if s is None:
+        s = _power_norm(x, p)
     if s == 0.0:
         # J is differentiable at 0 only for p < 2 (with dJ = 0 limit direction
         # issues); return a small multiple of I as a usable Newton model
         return np.full(space.dim, 1e-8), 0.0, np.zeros(space.dim)
-    u = _signed_power(x, p - 1.0)
     ax = np.abs(x)
     diag = np.where(ax > 0, ax ** (p - 2.0), 0.0)
+    u = x * diag
     if p < 2.0:
         # |x_i|^{p-2} blows up at zeros only for p < 2; clipping it for p > 2
         # would bind at large |x_i| and make the Newton model indefinite
@@ -197,24 +206,34 @@ class ResolventResult:
     inner_iterations: int
     converged: bool
     jx: np.ndarray  # J(x), the right-hand side of J z + r A z = J x
+    normed: NormedPoint  # the point with its norm and J, from the residual
 
 
-def resolvent(space: LpSpace, op: MonotoneOperator, r: float, x, z0=None) -> ResolventResult:
-    """L_r(x) = (J + rA)^{-1} J x."""
+def resolvent(
+    space: LpSpace, op: MonotoneOperator, r: float, x, z0=None, jx=None
+) -> ResolventResult:
+    """L_r(x) = (J + rA)^{-1} J x.
+
+    ``jx`` is J x when the caller already has it, for an x it has checked;
+    without it J x is computed here and x is checked.  ``z0`` starts
+    Newton: a point, or a ``NormedPoint`` whose norm and J are reused.
+    """
     if r <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {r}")
-    jx = space.duality_map(x)  # checks x
+    if jx is None:
+        jx = space.duality_map(x)  # checks x
     x = np.asarray(x, dtype=float)
     point = op.closed_form_resolvent(space, r, x, jx)
     if point is None:
         return _newton_resolvent(space, op, r, x, jx, z0)
-    res = _q_norm(space, _residual(space, op, r, space.check(point), jx))
-    return ResolventResult(point, res, 0, res <= tolerances.RESOLVENT_TOL, jx)
+    z = _normed(space.check(point), space.p)
+    res = _q_norm(space, _residual(space, op, r, z, jx))
+    return ResolventResult(point, res, 0, res <= tolerances.RESOLVENT_TOL, jx, z)
 
 
-def _residual(space, op, r, z, jx) -> np.ndarray:
+def _residual(space, op, r, z: NormedPoint, jx) -> np.ndarray:
     """J z + r A z - J x at a checked z."""
-    return _dual_map(z, space.p) + r * op.evaluate(space, z) - jx
+    return z.jx + r * op.evaluate(space, z.x) - jx
 
 
 def _q_norm(space, g) -> float:
@@ -223,18 +242,20 @@ def _q_norm(space, g) -> float:
     return math.inf if math.isnan(res) else res
 
 
-def _newton_direction(space, op, r, z, g, lam) -> np.ndarray:
+def _newton_direction(space, op, r, z: NormedPoint, g, lam) -> np.ndarray:
     """Solve (dJ(z) + r dA(z) + lam I) dz = -g; LinAlgError if it is singular."""
-    d, gamma, u = duality_map_jacobian(space, z)
+    d, gamma, u = duality_map_jacobian(space, z.x, z.norm)
     bdiag = op.jacobian_diagonal
     if bdiag is None:
-        jac = gamma * np.outer(u, u) + np.diag(d) + r * op.jacobian(space, z)
+        jac = gamma * np.outer(u, u) + np.diag(d) + r * op.jacobian(space, z.x)
         if lam > 0.0:
             jac = jac + lam * np.eye(space.dim)
         return np.linalg.solve(jac, -g)
     # Sherman-Morrison on diag(dd) + gamma u u'; like a dense solve, a model
-    # that overflowed to NaN gives a NaN step, which the line search rejects
-    dd = d + r * bdiag + lam
+    # that overflowed to NaN gives a NaN step, which ends the solve
+    dd = d + r * bdiag
+    if lam > 0.0:
+        dd = dd + lam
     if (dd <= 0.0).any():
         raise np.linalg.LinAlgError("non-positive diagonal in the Newton matrix")
     du = u / dd
@@ -245,18 +266,27 @@ def _newton_direction(space, op, r, z, g, lam) -> np.ndarray:
     return dg - (gamma * float(np.dot(u, dg)) / denom) * du
 
 
-def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
-    z = np.asarray(z0, dtype=float).copy() if z0 is not None else x.copy()
-    if not np.any(z):
-        # nudge off the origin where the Jacobian of J degenerates
-        z = z + 1e-6
+def _newton_start(space, x, z0) -> NormedPoint:
+    """The first Newton iterate, off the origin, with its norm and J."""
+    if isinstance(z0, NormedPoint):
+        if np.any(z0.x):
+            return NormedPoint(z0.x.copy(), z0.norm, z0.jx)
+        z0 = z0.x
+    z = np.asarray(x if z0 is None else z0, dtype=float)
+    # nudge off the origin where the Jacobian of J degenerates
+    z = z.copy() if np.any(z) else z + 1e-6
+    return _normed(z, space.p)
 
+
+def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
+    p = space.p
+    z = _newton_start(space, x, z0)
     g = _residual(space, op, r, z, jx)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(g.dot(g))
     gq = _q_norm(space, g)
     if gq == math.inf:
         # r A z or J z overflowed: no Newton direction from here is finite
-        return ResolventResult(z, gq, 0, False, jx)
+        return ResolventResult(z.x, gq, 0, False, jx, z)
     lam = 0.0
     best = (z, gq)
     for k in range(1, _NEWTON_MAX_ITER + 1):
@@ -267,12 +297,15 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
         except np.linalg.LinAlgError:
             lam = max(2.0 * lam, 1e-8)
             continue
+        if not np.isfinite(dz).all():
+            # the Newton model overflowed; regularizing cannot make it finite
+            break
         step = 1.0
         accepted = False
         for _ in range(60):
-            cand = z + step * dz
+            cand = _normed(z.x + step * dz, p)
             gc = _residual(space, op, r, cand, jx)
-            gcn = float(np.linalg.norm(gc))
+            gcn = math.sqrt(gc.dot(gc))
             # a non-finite trial residual fails this test and is rejected
             if gcn < gnorm * (1.0 - 1e-4 * step):
                 z, g, gnorm = cand, gc, gcn
@@ -290,7 +323,7 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
                 break
     if gq > best[1]:
         z, gq = best
-    return ResolventResult(z, gq, k, gq <= tolerances.RESOLVENT_TOL, jx)
+    return ResolventResult(z.x, gq, k, gq <= tolerances.RESOLVENT_TOL, jx, z)
 
 
 def monotonicity_gap(space: LpSpace, op: MonotoneOperator, x, y) -> float:

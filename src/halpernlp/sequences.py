@@ -78,11 +78,9 @@ def _verify_certificate(prefix: RealSequencePrefix, tau: np.ndarray,
     n_end = n_start + tau.size - 1
     monotone = bool(np.all(np.diff(tau) >= 0))
     divergent = bool(tau.size < 2 or tau[-1] >= tau[0])
-    rise = all(v[t - 1] <= v[t] for t in tau)  # xi_tau(n) <= xi_{tau(n)+1}
-    domination = all(
-        v[n - 1] <= v[int(tau[n - n_start])]
-        for n in range(max(start_index, n_start), n_end + 1)
-    )
+    rise = bool(np.all(v[tau - 1] <= v[tau]))  # xi_tau(n) <= xi_{tau(n)+1}
+    ns = np.arange(max(start_index, n_start), n_end + 1)
+    domination = bool(np.all(v[ns - 1] <= v[tau[ns - n_start]]))  # xi_n <= xi_{tau(n)+1}
     cert = TauCertificate(
         tau=tau,
         n_start=n_start,
@@ -111,15 +109,9 @@ def mainge_tau(prefix: RealSequencePrefix):
     if rises.size == 0:
         return NoRiseEvidence(length=len(prefix))
     first = int(rises[0])
-    n = len(prefix)
-    tau = np.empty(n - first + 1, dtype=int)
-    last = first
-    j = 0
-    for k in range(first, n + 1):
-        if j + 1 < rises.size and rises[j + 1] <= k:
-            j += 1
-        last = int(rises[j])
-        tau[k - first] = last
+    # the last rise index <= n, for n = first .. len(prefix)
+    ns = np.arange(first, len(prefix) + 1)
+    tau = rises[np.searchsorted(rises, ns, side="right") - 1]
     return _verify_certificate(prefix, tau, n_start=first, start_index=first)
 
 

@@ -319,7 +319,7 @@ def test_criterion_8_anchor_dependence():
 _SHIPPED_WORK = {
     "p1": ("p1", 2140, 5193),
     "p2_divergent": ("p2", 1759, 3649),
-    "p3": ("p3", 4279, 17252),
+    "p3": ("p3", 4279, 9845),
     "p4_line": (None, 431, 1313),
 }
 

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -23,7 +26,9 @@ from halpernlp import (
     reference_solution,
     run_halpern,
 )
+import halpernlp.geometry as geometry
 from halpernlp.driver import TRACE_COLUMNS
+from halpernlp.experiments import parse_config
 from halpernlp.sequences import RealSequencePrefix, TauCertificate, eventually_increasing_tau
 
 
@@ -123,10 +128,17 @@ class TestHalpernStep:
 
 
 def oracle_config(scheme):
-    """50 steps of a proximal-point run (closed-form resolvent) or of a
-    halpern_mann run whose half-space is active in the early steps."""
+    """50 steps of a proximal-point run (closed-form resolvent, or Newton for
+    "newton_proximal") or of a halpern_mann run whose half-space is active in
+    the early steps."""
     sp, op, w, rng = quad_problem(seed=4)
     common = dict(space=sp, alpha=PowerSchedule(), max_iter=50, stop_tol=1e-12)
+    if scheme == "newton_proximal":
+        seq = ResolventSequence(op=op, r_schedule=ConstantSchedule(1.0))
+        return HalpernConfig(
+            anchor=rng.standard_normal(4), start=rng.standard_normal(4),
+            constraint=WholeSpace(), sequence=seq, **common,
+        )
     if scheme == "proximal_point":
         seq = ResolventSequence(op=DualityResidual(z=w), r_schedule=ConstantSchedule(1.0))
         return HalpernConfig(
@@ -147,7 +159,7 @@ class TestStepDiagnosticsOracle:
     phi(w, x_n) from the step before; its diagnostics must equal, bit for
     bit, the same formulas evaluated with the public LpSpace methods."""
 
-    @pytest.mark.parametrize("scheme", ["proximal_point", "halpern_mann"])
+    @pytest.mark.parametrize("scheme", ["proximal_point", "newton_proximal", "halpern_mann"])
     def test_diagnostics_equal_public_formulas(self, scheme):
         cfg = oracle_config(scheme)
         sp, w, u = cfg.space, cfg.reference, cfg.anchor
@@ -193,6 +205,57 @@ class TestStepDiagnosticsOracle:
             _, _, diag = halpern_step(cfg, n, x)
             for attr, _, _ in TRACE_COLUMNS:
                 assert diag[attr] == getattr(trace, attr)[n - 1], (n, attr)
+
+
+class TestCarriedDuals:
+    """What a step carries to the next: x_{n+1} with its norm and J, and the
+    warm start of the next inner solve."""
+
+    @pytest.mark.parametrize("scheme", ["proximal_point", "newton_proximal", "halpern_mann"])
+    def test_carried_values_equal_public_values(self, scheme):
+        cfg = oracle_config(scheme)
+        sp = cfg.space
+        x, prev = cfg.start, None
+        for n in range(1, 31):
+            x_next, _, diag = halpern_step(cfg, n, x, prev=prev)
+            nxt = diag["next"]
+            assert nxt.x is x_next
+            assert nxt.norm == sp.norm(x_next)
+            np.testing.assert_array_equal(nxt.jx, sp.duality_map(x_next))
+            warm = diag["warm"]
+            np.testing.assert_array_equal(warm.jx, sp.duality_map(warm.x))
+            if scheme == "halpern_mann":
+                # the blend's next resolvent starts from T x_n, not S x_n
+                inner = cfg.sequence.at(n).inner
+                assert not np.array_equal(warm.x, diag["sx"])
+                g = sp.duality_map(warm.x) + inner.r * inner.op.evaluate(sp, warm.x) - sp.duality_map(x)
+                assert sp.dual_norm(g) <= 1e-8
+            else:
+                assert warm.x is diag["sx"]
+            x, prev = x_next, diag
+
+    @pytest.mark.parametrize("name, norms, duals", [("p1", 8.87, 3.44), ("p3", 14.61, 5.31)])
+    def test_private_kernel_calls_per_step(self, monkeypatch, name, norms, duals):
+        # ||.||_p and J run once per point a step touches; the rest of the
+        # count is inner work: Newton's trial points and residuals
+        counts = {"_power_norm": 0, "_dual_map": 0}
+        for kernel in counts:
+            original = getattr(geometry, kernel)
+
+            def counted(*args, _f=original, _k=kernel):
+                counts[_k] += 1
+                return _f(*args)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("halpernlp") and getattr(mod, kernel, None) is original:
+                    monkeypatch.setattr(mod, kernel, counted)
+        config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml"
+        cfg = parse_config(config).halpern
+        counts.update(_power_norm=0, _dual_map=0)
+        trace = run_halpern(cfg)
+        steps = trace.iterations
+        assert counts["_power_norm"] / steps <= norms
+        assert counts["_dual_map"] / steps <= duals
 
 
 class TestRunProximalPoint:

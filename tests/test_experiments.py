@@ -246,6 +246,34 @@ def test_trace_csv_schema(tmp_path):
                 assert kind(cell) == getattr(trace, attr)[i], (name, header, i)
 
 
+def test_trace_rows_match_the_per_cell_formatter(tmp_path):
+    # the one-format-per-row writer against str(int(.)) / f"{.:.17g}" per
+    # cell, on values whose text is easy to get wrong
+    from halpernlp.driver import TRACE_COLUMNS, IterationTrace, RunStatus
+    from halpernlp.experiments import write_trace_csv
+
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308,
+                       0.1, 1.0 / 3.0, 1e16, 123456789.0, -2.5e-300])
+    ints = np.array([1, 0, -1, 2**53 + 1, 2**62, -(2**63), 2**63 - 1, 7, 8, 9, 10, 11])
+    cols = {attr: (ints if kind is int else np.roll(floats, k))
+            for k, (attr, _, kind) in enumerate(TRACE_COLUMNS)}
+    trace = IterationTrace(
+        status=RunStatus.MAX_ITER, iterations=ints.size, final_x=np.zeros(2),
+        reference=np.zeros(2), uc_ft_gap=None, snapshots=[], boundedness_violation=0.0,
+        **cols,
+    )
+    write_trace_csv(trace, tmp_path / "t.csv")
+    expected = ["# halpernlp trace schema v1", ",".join(CSV_COLUMNS)]
+    for i in range(ints.size):
+        expected.append(",".join(
+            str(int(cols[attr][i])) if kind is int else f"{cols[attr][i]:.17g}"
+            for attr, _, kind in TRACE_COLUMNS
+        ))
+    assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+    cells = {c for row in expected[2:] for c in row.split(",")}
+    assert {"nan", "inf", "-inf", "-0", str(-(2**63))} <= cells
+
+
 def test_summary_fields_match_trace(tmp_path):
     cfg = config_from_dict(small_config())
     summary, trace = run_experiment(cfg, tmp_path)

@@ -13,6 +13,8 @@ from halpernlp import (
     LpSpace,
     MonotoneOperator,
 )
+from halpernlp.geometry import NormedPoint
+from halpernlp import operators
 from halpernlp.operators import duality_map_jacobian, monotonicity_gap, resolvent
 
 
@@ -196,12 +198,108 @@ class TestResolvent:
         assert not res.converged
         assert not np.isnan(res.residual)
         assert np.all(np.isfinite(res.point))
+        np.testing.assert_array_equal(res.point, x)
+        assert len(caught) < 10
         if (r, s) != (1.0, 1e300):
             # the starting residual is already non-finite: stop before any step
             assert res.inner_iterations == 0
             assert res.residual == np.inf
-            np.testing.assert_array_equal(res.point, x)
-            assert len(caught) < 10
+        else:
+            # the residual is finite but |z|^{p-1} overflows, so the first
+            # Newton direction is NaN and no regularization makes it finite
+            assert res.inner_iterations <= 2
+            assert np.isfinite(res.residual)
+
+
+class TestCarriedDuals:
+    """A resolvent returns its answer with the answer's norm and J, and they
+    equal the public LpSpace values whichever branch produced the answer."""
+
+    @staticmethod
+    def assert_carries_its_dual(sp, res):
+        assert res.normed.x is res.point
+        assert res.normed.norm == sp.norm(res.point)
+        np.testing.assert_array_equal(res.normed.jx, sp.duality_map(res.point))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+    def test_newton_answers(self, rng, p):
+        # a diagonal quadratic (Sherman-Morrison steps) and a dense operator
+        sp = LpSpace(4, p)
+        g = rng.standard_normal((4, 4))
+        ops = [
+            GradientOfQuadratic(q=np.diag(rng.uniform(0.1, 1.0, 4)), c=rng.standard_normal(4)),
+            LinearMonotone(m=g @ g.T + 0.1 * np.eye(4), b=rng.standard_normal(4)),
+        ]
+        for op in ops:
+            x = rng.standard_normal(4)
+            res = resolvent(sp, op, 1.0, x)
+            assert res.converged and res.inner_iterations > 0
+            self.assert_carries_its_dual(sp, res)
+            warm = resolvent(sp, op, 1.0, x + 0.1, z0=res.point)
+            self.assert_carries_its_dual(sp, warm)
+
+    def test_a_normed_warm_start_reaches_the_same_iterates(self, rng):
+        # the carried norm and J replace a recomputation bit for bit
+        sp = LpSpace(5, 3.0)
+        op = GradientOfQuadratic(q=np.diag(np.linspace(0.1, 1.0, 5)), c=rng.standard_normal(5))
+        for _ in range(5):
+            x, z0 = rng.standard_normal(5), rng.standard_normal(5)
+            plain = resolvent(sp, op, 1.0, x, z0=z0)
+            normed = resolvent(
+                sp, op, 1.0, x, z0=NormedPoint(z0, sp.norm(z0), sp.duality_map(z0)),
+                jx=sp.duality_map(x),
+            )
+            assert normed.point.tobytes() == plain.point.tobytes()
+            assert (normed.residual, normed.inner_iterations) == (
+                plain.residual, plain.inner_iterations)
+
+    def test_best_iterate_fallback(self, monkeypatch):
+        # two Newton steps: the second lowers ||g||_2 but raises ||g||_q, so
+        # the solve returns the first step's iterate
+        seen = []
+
+        def q_norm(space, g):
+            seen.append(original(space, g))
+            return seen[-1]
+
+        original = operators._q_norm
+        monkeypatch.setattr(operators, "_q_norm", q_norm)
+        monkeypatch.setattr(operators, "_NEWTON_MAX_ITER", 2)
+        sp = LpSpace(3, 1.3)
+        op = GradientOfQuadratic(
+            q=np.diag([0.881142117689546, 0.2903382669458343, 1.2815215472577717]),
+            c=np.array([1.050466148144303, 0.03492581067673853, 1.0372184519800927]),
+        )
+        x = np.array([-0.47037463750439723, 0.5396657398799372, -0.3772941060329656])
+        z0 = np.array([-0.32690780933926955, 0.6556749389345349, 1.3336074120478192])
+        res = resolvent(sp, op, 1.0, x, z0=z0)
+        assert seen[-1] > res.residual
+        self.assert_carries_its_dual(sp, res)
+
+    def test_nudged_start(self):
+        # x = 0 starts Newton at 1e-6 * (1, ..., 1); at r = 1e300 its residual
+        # overflows and that start is the answer
+        sp = LpSpace(3, 3.0)
+        op = GradientOfQuadratic(q=np.diag([1.0, 0.5, 0.2]), c=np.full(3, 1e10))
+        zero = np.zeros(3)
+        for r, warm in ((1e300, None), (1.0, None), (1.0, NormedPoint(zero, 0.0, zero))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = resolvent(sp, op, r, zero, z0=warm)
+            if r == 1e300:
+                np.testing.assert_array_equal(res.point, np.full(3, 1e-6))
+            self.assert_carries_its_dual(sp, res)
+
+    def test_closed_forms(self, rng):
+        x = rng.standard_normal(3)
+        cases = [
+            (LpSpace(3, 3.0), DualityResidual(z=rng.standard_normal(3))),
+            (LpSpace(3, 2.0), LinearMonotone(m=np.eye(3) + 0.5, b=rng.standard_normal(3))),
+            (LpSpace(3, 2.0), GradientOfQuadratic(q=np.diag([1.0, 2.0, 0.0]), c=np.ones(3))),
+        ]
+        for sp, op in cases:
+            res = resolvent(sp, op, 0.7, x)
+            assert res.inner_iterations == 0 and res.converged
+            self.assert_carries_its_dual(sp, res)
 
 
 class TestDualityMapJacobian:

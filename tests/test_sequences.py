@@ -13,6 +13,7 @@ from halpernlp import (
     verify_example_claims,
     xu_recursion,
 )
+from halpernlp.sequences import _verify_certificate
 
 
 def brute_force_rises(values):
@@ -95,6 +96,75 @@ class TestMaingeTau:
         res = mainge_tau(RealSequencePrefix(np.array(vals)))
         if isinstance(res, TauCertificate):
             assert res.monotone and res.rise and res.domination
+
+
+def loop_tau(v):
+    """tau(n) = last rise index <= n, for n from the first rise on, by a scan."""
+    rises = [k for k in range(1, len(v)) if v[k - 1] < v[k]]
+    if not rises:
+        return None
+    tau, j = [], 0
+    for n in range(rises[0], len(v) + 1):
+        if j + 1 < len(rises) and rises[j + 1] <= n:
+            j += 1
+        tau.append(rises[j])
+    return rises[0], np.array(tau)
+
+
+def loop_flags(v, tau, n_start, start_index):
+    """(rise, domination) of a rise selection, one index at a time."""
+    rise = all(v[t - 1] <= v[t] for t in tau)
+    domination = all(
+        v[n - 1] <= v[int(tau[n - n_start])]
+        for n in range(max(start_index, n_start), n_start + tau.size)
+    )
+    return rise, domination
+
+
+# few distinct values, so that ties (no strict rise) are common
+_tied_prefixes = st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), min_size=2, max_size=60)
+
+
+class TestVectorizedCertificates:
+    """The array checks of the certificates against one-index-at-a-time loops."""
+
+    @given(_tied_prefixes)
+    @settings(max_examples=300, deadline=None)
+    def test_mainge_tau_matches_the_scan(self, vals):
+        v = np.array(vals)
+        res = mainge_tau(RealSequencePrefix(v))
+        expected = loop_tau(v)
+        if expected is None:
+            assert isinstance(res, NoRiseEvidence)
+            return
+        first, tau = expected
+        assert res.n_start == res.start_index == first
+        np.testing.assert_array_equal(res.tau, tau)
+        assert (res.rise, res.domination) == loop_flags(v, tau, first, first) == (True, True)
+
+    @given(_tied_prefixes, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_flags_match_the_loops_on_any_selection(self, vals, data):
+        # arbitrary selections, most of them invalid: the array checks must
+        # accept exactly those the loops accept
+        v = np.array(vals)
+        n = v.size
+        n_start = data.draw(st.integers(1, n))
+        tau = np.array(
+            data.draw(st.lists(st.integers(1, n - 1), min_size=n - n_start + 1,
+                               max_size=n - n_start + 1)),
+            dtype=int,
+        )
+        start_index = data.draw(st.integers(1, n + 1))
+        rise, domination = loop_flags(v, tau, n_start, start_index)
+        monotone = bool(np.all(np.diff(tau) >= 0))
+        prefix = RealSequencePrefix(v)
+        if monotone and rise and domination:
+            cert = _verify_certificate(prefix, tau, n_start, start_index)
+            assert (cert.rise, cert.domination) == (True, True)
+        else:
+            with pytest.raises(AssertionError, match=f"rise={rise} domination={domination}"):
+                _verify_certificate(prefix, tau, n_start, start_index)
 
 
 class TestEventuallyIncreasingTau:
