@@ -19,7 +19,7 @@ from .experiments import (
     ConfigError,
     RunSummary,
     parse_config,
-    run_experiment,
+    run_contained,
     run_suite,
 )
 from .sequences import (
@@ -43,7 +43,7 @@ def _cmd_run(args) -> int:
     except OSError as e:
         print(f"cannot read config: {e}", file=sys.stderr)
         return EXIT_IO_ERROR
-    summary, _ = run_experiment(cfg, args.out)
+    summary = run_contained(cfg, args.out)
     print(RunSummary.tsv_header())
     print(summary.as_tsv())
     return summary.exit_code

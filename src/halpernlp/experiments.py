@@ -7,7 +7,8 @@ exit code:
     0  converged, every monitored inequality within tolerance
     2  iteration budget exhausted
     3  an inequality slack fell below -1e-7 (implementation-bug signal)
-    4  an inner solver failed to converge
+    4  an inner solver failed to converge, or a numerical error
+       (ArithmeticError, ValueError) was raised inside the run
     5  I/O failure
 """
 
@@ -349,24 +350,42 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[RunSummary, Iteratio
     return summary, trace
 
 
+def _failed_summary(experiment_id: str, status: str, seed: int, code: int) -> RunSummary:
+    """The summary row of a run that left no trace."""
+    nan = float("nan")
+    return RunSummary(
+        experiment_id=experiment_id,
+        status=status,
+        iterations=0,
+        final_error=nan,
+        final_phi=nan,
+        min_slack=nan,
+        wall_clock=0.0,
+        seed=seed,
+        exit_code=code,
+    )
+
+
+def run_contained(cfg: ExperimentConfig, out_dir) -> RunSummary:
+    """``run_experiment``'s summary, with a numerical error raised inside the
+    run (``ArithmeticError``, or ``ValueError``, which includes numpy's
+    ``LinAlgError``) turned into an exit-4 row whose status names it, so a
+    suite keeps going.  ``run_experiment`` itself still raises."""
+    try:
+        return run_experiment(cfg, out_dir)[0]
+    except (ArithmeticError, ValueError) as e:
+        status = " ".join(f"{type(e).__name__}: {e}".split())  # one TSV field
+        return _failed_summary(cfg.experiment_id, status, cfg.seed, EXIT_INNER_FAILURE)
+
+
 def _run_one_path(args):
     path, out_dir, seed_override = args
     try:
         cfg = parse_config(path, seed_override=seed_override)
     except ConfigError as e:
-        return RunSummary(
-            experiment_id=Path(path).stem,
-            status=f"ConfigError: {e.problems[0]}",
-            iterations=0,
-            final_error=float("nan"),
-            final_phi=float("nan"),
-            min_slack=float("nan"),
-            wall_clock=0.0,
-            seed=seed_override or 0,
-            exit_code=EXIT_IO_ERROR,
-        )
-    summary, _ = run_experiment(cfg, out_dir)
-    return summary
+        status = f"ConfigError: {e.problems[0]}"
+        return _failed_summary(Path(path).stem, status, seed_override or 0, EXIT_IO_ERROR)
+    return run_contained(cfg, out_dir)
 
 
 def run_suite(

@@ -4,6 +4,9 @@ A schedule is a pure function of the (1-based) step index together with
 declared analytic facts (limits, bounds, sum divergence).  Declared
 bounds are additionally checked numerically over the first 10^6 indices
 at construction, so a driver never runs under a violated hypothesis.
+The check runs over blocks of 2^14 consecutive indices, folding each
+block into a running result, so it holds a few hundred kB at a time
+whatever the index range.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _VALIDATE_N = 1_000_000
+_VALIDATE_BLOCK = 2**14
 
 
 class ScheduleValidationError(ValueError):
@@ -134,8 +138,20 @@ class DriftSchedule(Schedule):
         return self.base + self.amp / np.asarray(ns, dtype=float)
 
 
-def _first_n_values(sched: Schedule, n: int = _VALIDATE_N) -> np.ndarray:
-    return sched.values(np.arange(1, n + 1))
+def _value_blocks(sched: Schedule):
+    """Yields the values of sched at 1.._VALIDATE_N, _VALIDATE_BLOCK at a time."""
+    for start in range(1, _VALIDATE_N + 1, _VALIDATE_BLOCK):
+        stop = min(start + _VALIDATE_BLOCK, _VALIDATE_N + 1)
+        yield sched.values(np.arange(start, stop))
+
+
+def _value_range(sched: Schedule) -> tuple[float, float]:
+    """(min, max) of sched over 1.._VALIDATE_N; both NaN if any value is."""
+    vmin, vmax = np.inf, -np.inf
+    for vals in _value_blocks(sched):
+        vmin = np.minimum(vmin, np.min(vals))
+        vmax = np.maximum(vmax, np.max(vals))
+    return float(vmin), float(vmax)
 
 
 def validate_anchor_weights(sched: Schedule) -> Schedule:
@@ -150,10 +166,16 @@ def validate_anchor_weights(sched: Schedule) -> Schedule:
             "anchor weights must satisfy sum alpha_n = infinity and "
             f"alpha_n -> 0; {sched!r} does not"
         )
-    vals = _first_n_values(sched)
-    if not (np.all(vals > 0.0) and np.all(vals <= 1.0)):
-        raise ScheduleValidationError("anchor weights leave (0, 1]")
-    if np.any(np.diff(vals) > 0.0):
+    # A rise is reported only once every block is inside (0, 1], as when
+    # the whole range was checked at once; blocks are compared across
+    # their boundary as well as within.
+    last, rises = np.inf, False
+    for vals in _value_blocks(sched):
+        if not (np.all(vals > 0.0) and np.all(vals <= 1.0)):
+            raise ScheduleValidationError("anchor weights leave (0, 1]")
+        rises = rises or vals[0] > last or bool(np.any(np.diff(vals) > 0.0))
+        last = vals[-1]
+    if rises:
         raise ScheduleValidationError("anchor weights must be nonincreasing")
     return sched
 
@@ -169,8 +191,7 @@ def validate_resolvent_radii(sched: Schedule) -> Schedule:
         raise ScheduleValidationError(
             f"resolvent radii need inf r_n > 0, declared lower bound {lower}"
         )
-    vals = _first_n_values(sched)
-    if float(np.min(vals)) < lower - 1e-15:
+    if _value_range(sched)[0] < lower - 1e-15:
         raise ScheduleValidationError("resolvent radii dip below the declared bound")
     return sched
 
@@ -191,7 +212,7 @@ def validate_blend_weights(sched: Schedule) -> tuple[Schedule, float, float]:
             "blend weights need 0 < liminf beta_n <= limsup beta_n < 1; "
             f"declared bounds [{lo}, {hi}]"
         )
-    vals = _first_n_values(sched)
-    if float(np.min(vals)) < lo - 1e-15 or float(np.max(vals)) > hi + 1e-15:
+    vmin, vmax = _value_range(sched)
+    if vmin < lo - 1e-15 or vmax > hi + 1e-15:
         raise ScheduleValidationError("blend weights leave their declared bounds")
     return sched, lo, hi

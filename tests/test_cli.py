@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from halpernlp.cli import main
+from halpernlp.experiments import parse_config, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -60,6 +61,52 @@ def test_suite_reports_non_numeric_budget(tmp_path, capsys):
     assert "budgets.max_iter" in by_id["b"][1]
     assert by_id["c"][-1] == "5"
     assert "budgets" in by_id["c"][1]
+
+
+def _perturbed_p3(directory: Path, perturb: str) -> Path:
+    """p3 with every step pushed by ``perturb``: 1e200 overflows a float in
+    the blend's diagnostics at step 2, and 1e308 makes the driver's checked
+    inverse duality map reject a non-finite vector."""
+    path = directory / "p3_perturbed.yaml"
+    text = (CONFIG_DIR / "p3.yaml").read_text()
+    path.write_text(text + f"debug: {{perturb_step: {perturb}}}\n")
+    return path
+
+
+# the injected overflow also makes numpy warn on the way to the error
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "perturb, error", [("1.0e+200", "OverflowError"), ("1.0e+308", "ValueError")]
+)
+def test_run_contains_numerical_errors(tmp_path, capsys, perturb, error):
+    path = _perturbed_p3(tmp_path, perturb)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+    fields = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert fields[0] == "p3"
+    assert fields[1].startswith(f"{error}: ")
+    assert fields[-1] == "4"
+    # library callers still get the exception
+    with pytest.raises((ArithmeticError, ValueError)):
+        run_experiment(parse_config(path), tmp_path / "lib")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_suite_contains_numerical_errors(tmp_path, capsys, parallel):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    _perturbed_p3(cfg_dir, "1.0e+200")
+    (cfg_dir / "p1.yaml").write_text((CONFIG_DIR / "p1.yaml").read_text())
+    out = tmp_path / "out"
+    code = main(["suite", str(cfg_dir), "--parallel", parallel, "--out", str(out)])
+    assert code == 4
+    rows = (out / "suite_summary.tsv").read_text().splitlines()
+    by_id = {row.split("\t")[0]: row.split("\t") for row in rows[1:]}
+    assert sorted(by_id) == ["p1", "p3"]
+    assert by_id["p1"][-1] == "0"
+    assert by_id["p3"][-1] == "4"
+    assert by_id["p3"][1].startswith("OverflowError: ")
+    assert (out / "p1_trace.csv").exists()
 
 
 def test_suite_empty_directory(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -21,9 +24,11 @@ from halpernlp import (
     apply_indexed,
     srns_diagnostic,
 )
+from halpernlp import schedules
 from halpernlp.mappings import reference_points
 from halpernlp.operators import resolvent
 from halpernlp.schedules import (
+    Schedule,
     validate_anchor_weights,
     validate_blend_weights,
     validate_resolvent_radii,
@@ -174,6 +179,76 @@ def test_schedule_accept_reject_matrix(sched, anchor_ok, radii_ok, blend_bounds)
             validate_blend_weights(sched)
     else:
         assert validate_blend_weights(sched) == (sched, *blend_bounds)
+
+
+@dataclass(frozen=True)
+class _EditedAt(Schedule):
+    """``base`` with its value at index ``n`` replaced by ``v``.  The declared
+    facts are base's, so only the numeric check can see the edit."""
+
+    base: Schedule
+    n: int
+    v: float
+
+    vanishes_with_divergent_sum = property(
+        lambda self: self.base.vanishes_with_divergent_sum
+    )
+    lower_bound = property(lambda self: self.base.lower_bound)
+    limit_bounds = property(lambda self: self.base.limit_bounds)
+
+    def value(self, n):
+        return self.v if n == self.n else self.base.value(n)
+
+    def values(self, ns):
+        return np.where(np.asarray(ns) == self.n, self.v, self.base.values(ns))
+
+
+_B = schedules._VALIDATE_BLOCK
+_N = schedules._VALIDATE_N
+
+
+@pytest.mark.parametrize(
+    "validate,sched,message",
+    [
+        # a_{B+1} = 2 a_B: a rise only across the first block boundary
+        (validate_anchor_weights, _EditedAt(PowerSchedule(), _B + 1, 2.0 / _B), "nonincreasing"),
+        (validate_anchor_weights, _EditedAt(PowerSchedule(), _N, 2.0 / _N), "nonincreasing"),
+        (validate_resolvent_radii, _EditedAt(LinearSchedule(1.0), _N, 0.5), "dip below"),
+        (validate_blend_weights, _EditedAt(ConstantSchedule(0.5), _N, 0.9), "leave"),
+    ],
+    ids=["anchor_rise_at_block_boundary", "anchor_rise_at_last_index",
+         "radius_dip_at_last_index", "blend_above_limsup_at_last_index"],
+)
+def test_numeric_check_covers_every_index(validate, sched, message):
+    with pytest.raises(ScheduleValidationError, match=message):
+        validate(sched)
+
+
+def test_anchor_tie_across_block_boundary_is_accepted():
+    sched = _EditedAt(PowerSchedule(), _B + 1, 1.0 / _B)  # a_{B+1} = a_B
+    assert validate_anchor_weights(sched) is sched
+
+
+@pytest.mark.parametrize(
+    "validate,sched",
+    [
+        (validate_anchor_weights, PowerSchedule()),
+        (validate_resolvent_radii, LinearSchedule()),
+        (validate_blend_weights, ConstantSchedule(0.5)),
+    ],
+    ids=["anchor", "radii", "blend"],
+)
+def test_numeric_check_memory_is_bounded(validate, sched):
+    # numpy reports its buffers to tracemalloc; one array of all 10^6
+    # values alone would be 8 MB
+    validate(sched)
+    tracemalloc.start()
+    try:
+        validate(sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 class TestSrnsDiagnostic:
