@@ -12,8 +12,9 @@ conjugate exponent q = p / (p - 1).
 Input is checked once, where it enters the library: by the public
 ``LpSpace`` methods, ``operators.resolvent``, ``sets.generalized_projection``,
 ``driver.HalpernConfig`` and ``experiments.config_from_dict``.  The solver
-loops behind them (Newton, projected gradient, bisection, the driver step)
-run the private kernels below on arrays that were already checked.
+loops behind them (Newton, projected gradient, the scalar and multiplier
+solves of the sets, the driver step) run the private kernels below on
+arrays that were already checked.
 """
 
 from __future__ import annotations
@@ -71,6 +72,34 @@ def _dual_map(x: np.ndarray, exponent: float, nx: float | None = None) -> np.nda
         return np.zeros_like(x)
     # Jx = nx * (|x|/nx)^{e-1} sign(x): every factor is scale-safe
     return nx * _signed_power(x / nx, exponent - 1.0)
+
+
+def _dual_map_jacobian(x: np.ndarray, exponent: float, nx: float | None = None):
+    """Jacobian of the l^exponent duality map at x as (d, gamma, u), meaning
+    diag(d) + gamma u u'; nx is ||x||_exponent if known.
+
+    With e = exponent and s = ||x||_e: d_i = (e-1) s^{2-e} |x_i|^{e-2},
+    gamma = (2-e) s^{2-2e} and u_i = |x_i|^{e-1} sign(x_i) = x_i |x_i|^{e-2}.
+    The matrix is PSD since the duality map is monotone, and it is
+    0-homogeneous in x.
+    """
+    if exponent == 2.0:
+        return np.ones(x.size), 0.0, np.zeros(x.size)
+    if nx is None:
+        nx = _power_norm(x, exponent)
+    if nx == 0.0:
+        # J is differentiable at 0 only for e < 2 (with dJ = 0 limit direction
+        # issues); return a small multiple of I as a usable Newton model
+        return np.full(x.size, 1e-8), 0.0, np.zeros(x.size)
+    ax = np.abs(x)
+    diag = np.where(ax > 0, ax ** (exponent - 2.0), 0.0)
+    u = x * diag
+    if exponent < 2.0:
+        # |x_i|^{e-2} blows up at zeros only for e < 2; clipping it for e > 2
+        # would bind at large |x_i| and make the Newton model indefinite
+        diag = np.minimum(diag, 1e12)
+    d = (exponent - 1.0) * nx ** (2.0 - exponent) * diag
+    return d, (2.0 - exponent) * nx ** (2.0 - 2.0 * exponent), u
 
 
 class NormedPoint(NamedTuple):

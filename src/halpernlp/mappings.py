@@ -113,12 +113,10 @@ class BlendMap(Mapping):
         beta, q = self.beta, space.q
         jtx = (jsx - beta * jx) / (1.0 - beta)  # recover J(Tx) from the blend
         # beta ||Jx||^2 + (1-beta) ||JTx||^2 - ||J S x||^2, in dual norms; the
-        # public dual norm checks the two inputs once
-        uc_ft_gap = (
-            beta * space.dual_norm(jx) ** 2
-            + (1.0 - beta) * _power_norm(jtx, q) ** 2
-            - space.dual_norm(jsx) ** 2
-        )
+        # public dual norm checks the two inputs once.  Squares are products:
+        # a Python float ** 2 raises OverflowError where n * n gives inf.
+        n_x, n_tx, n_sx = space.dual_norm(jx), _power_norm(jtx, q), space.dual_norm(jsx)
+        uc_ft_gap = beta * (n_x * n_x) + (1.0 - beta) * (n_tx * n_tx) - n_sx * n_sx
         return {"uc_ft_gap": uc_ft_gap, "j_gap": _power_norm(jx - jtx, q)}
 
 

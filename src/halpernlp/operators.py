@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LpSpace, NormedPoint, _dual_map, _normed, _power_norm
+from .geometry import LpSpace, NormedPoint, _dual_map, _dual_map_jacobian, _normed, _power_norm
 from .sets import AffineSet
 from . import tolerances
 
@@ -174,29 +174,8 @@ class GradientOfQuadratic(_AffineOperator):
 
 
 def duality_map_jacobian(space: LpSpace, x: np.ndarray, s: float | None = None):
-    """dJ/dx = diag(d) + gamma u u', returned as (d, gamma, u); s is ||x||_p if known.
-
-    With s = ||x||_p: d_i = (p-1) s^{2-p} |x_i|^{p-2}, gamma = (2-p) s^{2-2p}
-    and u_i = |x_i|^{p-1} sign(x_i) = x_i |x_i|^{p-2}.  The matrix is PSD
-    since J is monotone.
-    """
-    p = space.p
-    if p == 2.0:
-        return np.ones(space.dim), 0.0, np.zeros(space.dim)
-    if s is None:
-        s = _power_norm(x, p)
-    if s == 0.0:
-        # J is differentiable at 0 only for p < 2 (with dJ = 0 limit direction
-        # issues); return a small multiple of I as a usable Newton model
-        return np.full(space.dim, 1e-8), 0.0, np.zeros(space.dim)
-    ax = np.abs(x)
-    diag = np.where(ax > 0, ax ** (p - 2.0), 0.0)
-    u = x * diag
-    if p < 2.0:
-        # |x_i|^{p-2} blows up at zeros only for p < 2; clipping it for p > 2
-        # would bind at large |x_i| and make the Newton model indefinite
-        diag = np.minimum(diag, 1e12)
-    return (p - 1.0) * s ** (2.0 - p) * diag, (2.0 - p) * s ** (2.0 - 2.0 * p), u
+    """dJ/dx = diag(d) + gamma u u', returned as (d, gamma, u); s is ||x||_p if known."""
+    return _dual_map_jacobian(x, space.p, s)
 
 
 @dataclass

@@ -3,26 +3,35 @@
 The generalized projection Q_C(x) minimizes phi(y, x) over C.  Each
 variant solves it in its own way:
 
-- ``HalfSpace``: bracket-and-bisect on the one multiplier of <a, y> = b;
+- ``HalfSpace``: safeguarded Newton on the one multiplier t of <a, y> = b,
+  where y = J_q(Jx - t a);
 - ``Box``: Newton on the scalar t = log ||y||_p, since fixing the norm
   splits the problem into coordinates (Alber 1996; Kamimura-Takahashi 2002);
-- ``EuclideanBall`` and ``AffineSet``: projected gradient descent on
+- ``AffineSet``: damped Newton on the coordinates of y in the direction
+  space for p > 2, and on the multipliers of the complement for p < 2;
+- ``EuclideanBall``: projected gradient descent on
   h(y) = ||y||_p^2 - 2<y, Jx> (phi minus the constant ||x||^2), with
-  Euclidean projection per step and Armijo backtracking.
+  Euclidean projection per step and Armijo backtracking.  Tests keep it as
+  the reference for the box and the affine set.
 
-The result carries the residual of the variational inequality
-<z - Q_C(x), Jx - J Q_C(x)> <= 0, probed at random points of C.
+The Newton solves take the Jacobian of J from ``geometry``, as the
+resolvent's Newton does.  The result carries the residual of the
+variational inequality <z - Q_C(x), Jx - J Q_C(x)> <= 0, probed at random
+points of C; without an rng the probes are drawn once per dimension.
 ``euclidean_project`` maps a point, or each row of a stack of points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, LpSpace, _dual_map, _power_norm
+from .geometry import (
+    DimensionMismatchError, LpSpace, _dual_map, _dual_map_jacobian, _normed, _power_norm
+)
 from . import tolerances
 
 _PGD_GRAD_TOL = 1e-9
@@ -30,9 +39,20 @@ _PGD_MAX_ITER = 10_000
 _ARMIJO_C = 1e-4
 _VI_PROBES = 100
 _BOX_MAX_ITER = 100
+_NEWTON_MAX_ITER = 100
+_EPS = 2.220446049250313e-16
 # g(t) = log||y||_p - log||x||_p - t sums terms each rounded to about eps
 # times its size; below eps times their sizes its sign is noise
 _BOX_G_TOL = 2.2e-16
+
+
+@functools.lru_cache(maxsize=32)
+def _default_probes(dim: int) -> np.ndarray:
+    """The VI probe draws of a projection made without an rng: those of
+    np.random.default_rng(0), drawn once per dimension and read-only."""
+    draws = np.random.default_rng(0).standard_normal((_VI_PROBES, dim))
+    draws.flags.writeable = False
+    return draws
 
 
 class ConvexSet:
@@ -111,13 +131,12 @@ class ConvexSet:
     def vi_residual(self, space: LpSpace, x, proj, rng) -> float:
         """max over probe points z in C of <z - proj, Jx - J(proj)>, for a
         checked x; the public duality map checks proj."""
-        if rng is None:
-            rng = np.random.default_rng(0)
         g = _dual_map(x, space.p) - space.duality_map(proj)
         scale = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(proj)))
         # one probe per row: the same draws, in the same order, as one
         # standard_normal(dim) call per probe
-        z = self.euclidean_project(proj + scale * rng.standard_normal((_VI_PROBES, space.dim)))
+        draws = _default_probes(space.dim) if rng is None else rng.standard_normal((_VI_PROBES, space.dim))
+        z = self.euclidean_project(proj + scale * draws)
         return max(0.0, float(np.max((z - proj) @ g)))
 
 
@@ -159,34 +178,49 @@ class HalfSpace(ConvexSet):
         return x - (excess / self._aa)[..., None] * self.a
 
     def minimize_phi(self, space, x):
-        """The optimality condition pins the minimizer to J(y) = J(x) - t*a
-        for a single multiplier t > 0 fixed by <a, y> = b, and
-        <a, J^{-1}(Jx - t*a)> is nonincreasing in t, so a bracket-and-bisect
-        scalar solve suffices.
+        """The optimality condition pins the minimizer to y(t) = J_q(Jx - t a)
+        for the one multiplier t >= 0 at which m(t) = <a, y(t)> - b is 0.
+        m is nonincreasing, with m'(t) = -a' DJ_q(Jx - t a) a, and m(0) > 0
+        since x is outside.  Newton on t from 0, safeguarded by a bracket
+        [lo, hi] with m(lo) > 0 >= m(hi): a Newton step that leaves the
+        bracket, or is not half as long as the step before it, gives way to
+        bisection, or to doubling lo while no hi is known, so the bracket
+        grows at any scale.  The solve ends when m(hi) is at its rounding
+        level, or lo and hi are adjacent floats, and returns y(hi), the
+        feasible end.  A NaN margin (Jx overflowed) ends it with the
+        non-finite y, which the VI check rejects with a ValueError.
         """
-        jx = _dual_map(x, space.p)
-        a, q = self.a, space.q
-
-        def margin(t: float) -> float:
-            return float(np.dot(a, _dual_map(jx - t * a, q))) - self.b
-
-        lo, hi = 0.0, 1.0
-        k = 0
-        while margin(hi) > 0.0:
-            lo, hi = hi, 2.0 * hi
-            k += 1
-            if hi > 1e30:
-                break
-        while hi - lo > 1e-16 * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break  # lo and hi are adjacent floats
-            if margin(mid) > 0.0:
-                lo = mid
+        a, b, q, jx = self.a, self.b, space.q, _dual_map(x, space.p)
+        aa, abs_a = a * a, np.abs(a)
+        lo, hi, y_hi, t, dt = 0.0, math.inf, None, 0.0, math.inf  # m(lo) > 0 >= m(hi)
+        for k in range(1, _NEWTON_MAX_ITER + 1):
+            v, nv, y = _normed(jx - t * a, q)
+            m = float(y @ a) - b  # as in euclidean_project, so that y(hi) is inside
+            if m <= 0.0:
+                hi, y_hi = t, y
+                if -m <= 4.0 * _EPS * (abs(b) + float(np.abs(y) @ abs_a)):
+                    return y, k  # m is at its rounding level: the root is found
+            elif m > 0.0:
+                lo = t
             else:
-                hi = mid
-            k += 1
-        return space.inverse_duality_map(jx - hi * a), k
+                break
+            # DJ_q is 0-homogeneous: take it at v/||v||, where no power overflows
+            d, gamma, u = _dual_map_jacobian(v / (nv or 1.0), q, nv and 1.0)
+            au = float(np.dot(a, u))
+            slope = float(np.dot(d, aa)) + gamma * au * au  # -m'(t)
+            t_new = t + m / slope if slope > 0.0 else math.nan
+            if m > 0.0 and t_new == t:  # a step below half an ulp of t
+                t_new = math.nextafter(t, math.inf)
+            dt_old, dt = dt, abs(t_new - t)
+            if lo < t_new < hi and dt <= 0.5 * dt_old:
+                t = t_new
+            elif hi == math.inf:
+                t = t_new if t_new > lo else (2.0 * lo if lo > 0.0 else 1.0)
+            else:
+                t, dt = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                if not lo < t < hi:
+                    break  # lo and hi are adjacent floats
+        return (y if y_hi is None else y_hi), k
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,6 +354,8 @@ class AffineSet(ConvexSet):
         object.__setattr__(self, "point", p)
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "_basis", basis)
+        k = basis.shape[0]  # the complement's orthonormal rows follow the basis in the SVD
+        object.__setattr__(self, "_complement", np.linalg.svd(basis)[2][k:] if k else np.eye(p.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -333,6 +369,59 @@ class AffineSet(ConvexSet):
             return np.broadcast_to(self.point, x.shape).copy()
         # row-vector form: for one point, the same BLAS calls as basis.T @ (basis @ r)
         return self.point + (r @ basis.T) @ basis
+
+    def minimize_phi(self, space, x):
+        """Q_C(x) minimizes ||y||_p^2 / 2 - <y, Jx> over y in C.  For p > 2,
+        damped Newton on y = point + basis' theta, from the Euclidean
+        projection.  For p < 2 the Jacobian of J_p is unbounded at zero
+        coordinates, while that of J_q is bounded, so Newton runs on the
+        dual problem: y = J_q(Jx + complement' mu), where mu minimizes
+        ||Jx + complement' mu||_q^2 / 2 - <Jx + complement' mu, point>,
+        from mu = 0.
+        """
+        jx = _dual_map(x, space.p)
+        if space.p > 2.0:  # (z, k): the answer is z
+            return _newton_in_span(self.euclidean_project(x), self._basis, space.p, jx)[::2]
+        return _newton_in_span(jx, self._complement, space.q, self.point)[1:]  # (J_q z, k)
+
+
+def _newton_in_span(z, rows, e, s):
+    """(z*, J_e z*, iterations) for z* the minimizer of
+    f(z) = ||z||_e^2 / 2 - <z, s> over z + span(rows), rows orthonormal.
+
+    Damped Newton on the coordinates theta of z + rows' theta: the gradient
+    is rows(J_e z - s) and the Hessian (rows d) rows' + gamma (rows u)(rows u)',
+    with (d, gamma, u) the Jacobian of J_e at z.  Armijo backtracking on f,
+    until the gradient is at its rounding level.
+    """
+    z, nz, jz = _normed(z, e)
+    fz = 0.5 * nz * nz - float(np.dot(z, s))
+    grad_eps = 4.0 * e * _EPS  # each (J_e z)_i is rounded to about e eps of its size
+    for k in range(1, _NEWTON_MAX_ITER + 1):
+        g = rows @ (jz - s)
+        if (np.abs(g) <= grad_eps * (np.abs(rows) @ (np.abs(jz) + np.abs(s)))).all():
+            return z, jz, k - 1  # also when there are no rows
+        d, gamma, u = _dual_map_jacobian(z / (nz or 1.0), e, nz and 1.0)  # as in HalfSpace
+        ru = rows @ u
+        try:
+            dtheta = np.linalg.solve((rows * d) @ rows.T + gamma * np.outer(ru, ru), -g)
+        except np.linalg.LinAlgError:
+            dtheta = -g  # a singular model: fall back to the gradient
+        slope = float(np.dot(g, dtheta))  # df along dtheta, < 0
+        if not slope < 0.0:
+            return z, jz, k  # a non-finite model, or no descent left
+        dz = dtheta @ rows
+        # near the minimizer a step moves f by less than f's rounding error
+        f_noise = 4.0 * _EPS * (0.5 * nz * nz + abs(float(np.dot(z, s))))
+        for step in 0.5 ** np.arange(60.0):  # down to 2^-59, about 1.7e-18
+            cand, nc, jc = _normed(z + step * dz, e)
+            fc = 0.5 * nc * nc - float(np.dot(cand, s))
+            if fc <= fz + _ARMIJO_C * step * slope + f_noise:
+                break
+        else:
+            return z, jz, k  # no descent at float precision
+        z, nz, jz, fz = cand, nc, jc, fc
+    return z, jz, _NEWTON_MAX_ITER
 
 
 @dataclass

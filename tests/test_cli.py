@@ -64,25 +64,47 @@ def test_suite_reports_non_numeric_budget(tmp_path, capsys):
 
 
 def _perturbed_p3(directory: Path, perturb: str) -> Path:
-    """p3 with every step pushed by ``perturb``: 1e200 overflows a float in
-    the blend's diagnostics at step 2, and 1e308 makes the driver's checked
-    inverse duality map reject a non-finite vector."""
+    """p3 with every step pushed by ``perturb``: at 1e308 the driver's
+    checked inverse duality map rejects a non-finite vector (ValueError)."""
     path = directory / "p3_perturbed.yaml"
     text = (CONFIG_DIR / "p3.yaml").read_text()
     path.write_text(text + f"debug: {{perturb_step: {perturb}}}\n")
     return path
 
 
+def _overflowing_resolvent(directory: Path) -> Path:
+    """Proximal point at p = 10 with r = 1e20 and the zero of A at 0: at
+    step 1 Newton's iterate falls below ||z|| = 1e-17, where the Python float
+    ||z||^{2-2p} in the Jacobian of J overflows (OverflowError)."""
+    path = directory / "r_overflow.yaml"
+    text = (CONFIG_DIR / "p4_line.yaml").read_text()
+    for old, new in [
+        ("id: p4_line", "id: r_overflow"),
+        ("p: 3.0", "p: 10.0"),
+        ("q_diag: [1.0, 0.5, 0.0]", "q_diag: [1.0, 0.5, 0.25]"),
+        ("c: [1.0, 1.0, 0.0]", "c: [0.0, 0.0, 0.0]"),
+        ("value: 1.0}", "value: 1.0e+20}"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    return path
+
+
 # the injected overflow also makes numpy warn on the way to the error
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
-    "perturb, error", [("1.0e+200", "OverflowError"), ("1.0e+308", "ValueError")]
+    "make, run_id, error",
+    [
+        pytest.param(_overflowing_resolvent, "r_overflow", "OverflowError", id="r1e20-p10-OverflowError"),
+        pytest.param(lambda d: _perturbed_p3(d, "1.0e+308"), "p3", "ValueError", id="1.0e+308-ValueError"),
+    ],
 )
-def test_run_contains_numerical_errors(tmp_path, capsys, perturb, error):
-    path = _perturbed_p3(tmp_path, perturb)
+def test_run_contains_numerical_errors(tmp_path, capsys, make, run_id, error):
+    path = make(tmp_path)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
     fields = capsys.readouterr().out.splitlines()[1].split("\t")
-    assert fields[0] == "p3"
+    assert fields[0] == run_id
     assert fields[1].startswith(f"{error}: ")
     assert fields[-1] == "4"
     # library callers still get the exception
@@ -95,17 +117,17 @@ def test_run_contains_numerical_errors(tmp_path, capsys, perturb, error):
 def test_suite_contains_numerical_errors(tmp_path, capsys, parallel):
     cfg_dir = tmp_path / "cfgs"
     cfg_dir.mkdir()
-    _perturbed_p3(cfg_dir, "1.0e+200")
+    _overflowing_resolvent(cfg_dir)
     (cfg_dir / "p1.yaml").write_text((CONFIG_DIR / "p1.yaml").read_text())
     out = tmp_path / "out"
     code = main(["suite", str(cfg_dir), "--parallel", parallel, "--out", str(out)])
     assert code == 4
     rows = (out / "suite_summary.tsv").read_text().splitlines()
     by_id = {row.split("\t")[0]: row.split("\t") for row in rows[1:]}
-    assert sorted(by_id) == ["p1", "p3"]
+    assert sorted(by_id) == ["p1", "r_overflow"]
     assert by_id["p1"][-1] == "0"
-    assert by_id["p3"][-1] == "4"
-    assert by_id["p3"][1].startswith("OverflowError: ")
+    assert by_id["r_overflow"][-1] == "4"
+    assert by_id["r_overflow"][1].startswith("OverflowError: ")
     assert (out / "p1_trace.csv").exists()
 
 

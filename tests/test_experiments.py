@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from halpernlp.experiments import (
     EXIT_INNER_FAILURE,
@@ -57,6 +58,18 @@ def test_parse_p1_config():
     assert cfg.scheme == "proximal_point"
     assert cfg.halpern.space.dim == 10
     assert cfg.halpern.space.p == 3.0
+
+
+@pytest.mark.parametrize("lam", [2.0**7, 2.0**10])
+def test_scaled_line_config_is_accepted(lam):
+    # the reference w is Q_F(u) onto a line of zeros; projected gradient
+    # stopped at VI residuals 1.4e-6 and 9.3e-5 here, so the config was rejected
+    raw = yaml.safe_load((CONFIG_DIR / "p4_line.yaml").read_text())
+    w = config_from_dict(raw).halpern.reference
+    for section, key in [("operator", "c"), ("start", "u"), ("start", "x1")]:
+        raw[section][key] = [lam * v for v in raw[section][key]]
+    raw["budgets"]["stop_tol"] *= lam
+    np.testing.assert_allclose(config_from_dict(raw).halpern.reference, lam * w, rtol=1e-12)
 
 
 def test_seed_override_changes_seeded_points():

@@ -85,6 +85,13 @@ class TestApply:
                     sx = m.apply(space, x).point
                     assert space.lyapunov(p_hat, sx) <= space.lyapunov(p_hat, x) + 1e-7
 
+    def test_step_diagnostics_overflow_to_inf(self, space, quad_op):
+        # ||Jx||_q near 1e200: its square is inf, not an OverflowError
+        s = BlendMap(inner=ResolventMap(op=quad_op, r=1.0), beta=0.5)
+        diag = s.step_diagnostics(space, np.array([1e200, -2e200]), np.array([1.0, 0.5]))
+        assert diag["uc_ft_gap"] == np.inf
+        assert np.isfinite(diag["j_gap"])
+
     def test_blend_shares_fixed_points(self, space, quad_op):
         # F(S) = F(T) for beta < 1, both directions on the reference point
         inner = ResolventMap(op=quad_op, r=1.0)

@@ -12,8 +12,10 @@ from halpernlp import (
     WholeSpace,
     generalized_projection,
 )
-from halpernlp.geometry import DimensionMismatchError
-from halpernlp.sets import ConvexSet
+from halpernlp.geometry import DimensionMismatchError, _dual_map
+from halpernlp.sets import ConvexSet, _default_probes
+
+EPS = np.finfo(float).eps
 
 
 def sample_sets(dim=3):
@@ -136,6 +138,136 @@ def halfspace_gp_oracle(space, hs, x):
     return space.inverse_duality_map(jx - t * hs.a)
 
 
+def bisection_margin_evaluations(space, hs, x):
+    """Margin evaluations of a bracket-and-bisect solve for the half-space
+    multiplier: doubling from [0, 1], then bisection down to a width of
+    1e-16 max(1, hi) or to adjacent floats."""
+    jx, evals = _dual_map(x, space.p), 0
+
+    def margin(t):
+        nonlocal evals
+        evals += 1
+        return float(np.dot(hs.a, _dual_map(jx - t * hs.a, space.q))) - hs.b
+
+    lo, hi = 0.0, 1.0
+    while margin(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-16 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if margin(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return evals
+
+
+def halfspace_vi_gap(space, hs, x, y):
+    """An upper bound on max <z - y, Jx - Jy> over the z of the half-space
+    with ||z - y||_2 <= ||x||_2: write Jx - Jy = t a + g with g orthogonal
+    to a, and bound the two parts separately."""
+    jg = space.duality_map(x) - space.duality_map(y)
+    t = float(jg @ hs.a) / float(hs.a @ hs.a)
+    radius = float(np.linalg.norm(x))
+    along = t * (hs.b - float(hs.a @ y)) if t >= 0.0 else -t * radius * np.linalg.norm(hs.a)
+    return radius * float(np.linalg.norm(jg - t * hs.a)) + along
+
+
+class TestHalfSpaceNewton:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0, 10.0])
+    def test_matches_the_oracle_in_fewer_evaluations_than_bisection(self, p, scale):
+        rng = np.random.default_rng(3)
+        sp = LpSpace(10, p)
+        hs = HalfSpace(a=np.ones(10), b=0.5 * scale)
+        for _ in range(3):
+            x = scale * (rng.standard_normal(10) + 1.0)
+            res = generalized_projection(sp, hs, x, rng=rng)
+            assert res.converged
+            assert res.inner_iterations <= bisection_margin_evaluations(sp, hs, x)
+            assert float(hs.a @ res.point) <= hs.b
+            np.testing.assert_allclose(res.point, halfspace_gp_oracle(sp, hs, x), atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("lam", [1e20, 1e31, 1e40])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_far_scales_stay_feasible_and_optimal(self, p, lam):
+        # a bracket capped at t = 1e30 used to return a point infeasible by
+        # 8e31 here, with a VI probe residual of 0
+        rng = np.random.default_rng(9)
+        sp = LpSpace(10, p)
+        hs = HalfSpace(a=np.ones(10), b=0.5)
+        for _ in range(3):
+            x = lam * (rng.standard_normal(10) + 1.0)
+            y = generalized_projection(sp, hs, x).point
+            assert float(hs.a @ y) - hs.b <= 4 * EPS * (abs(hs.b) + float(np.abs(hs.a * y).sum()))
+            assert halfspace_vi_gap(sp, hs, x, y) <= 1e-13 * lam**2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_dual_point_is_rejected(self):
+        # ||x||_3 overflows, so Jx is NaN: the solve must not report success
+        sp = LpSpace(10, 3.0)
+        hs = HalfSpace(a=np.ones(10), b=0.5)
+        with pytest.raises(ValueError):
+            generalized_projection(sp, hs, np.full(10, 1e308))
+
+
+def phi_objective(space, y, x):
+    """phi(y, x) - ||x||^2 = ||y||_p^2 - 2<y, Jx>."""
+    return space.norm(y) ** 2 - 2.0 * float(np.dot(y, space.duality_map(x)))
+
+
+class TestAffineNewton:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0, 10.0])
+    def test_no_worse_than_projected_gradient(self, p, scale):
+        rng = np.random.default_rng(int(100 * p))
+        sp = LpSpace(10, p)
+        for _ in range(3):
+            aff = AffineSet(
+                point=scale * rng.standard_normal(10),
+                directions=rng.standard_normal((int(rng.integers(1, 5)), 10)),
+            )
+            x = 2.0 * scale * rng.standard_normal(10)
+            y, iters = aff.minimize_phi(sp, x)
+            oracle, _ = ConvexSet.minimize_phi(aff, sp, x)
+            n2 = float(np.dot(x, x))
+            assert iters <= 20
+            assert aff.contains(y, 1e-12 * scale)
+            assert phi_objective(sp, y, x) <= phi_objective(sp, oracle, x) + 1e-13 * n2
+
+    def test_benchmark_census_inputs_pass(self):
+        # the affine cells at scale 1e3 that projected gradient failed: the
+        # inputs of the benchmark's calls workload, drawn the same way
+        d = 10
+        base = np.random.default_rng(1)
+        directions = base.standard_normal((2, d))
+        base.standard_normal((d, d))
+        base.standard_normal((d, d))
+        for _ in range(4):
+            base.standard_normal(d)
+        aff = AffineSet(point=np.zeros(d), directions=directions)
+        passed = 0
+        for p in (1.5, 2.0, 3.0, 6.0):
+            for scale in (1.0, 1e3):
+                for variant in range(8):  # the four sets, then the four operators
+                    inputs = base.standard_normal((2, d)) * scale
+                    if variant != 3 or scale != 1e3 or p == 2.0:
+                        continue
+                    for x in inputs:
+                        res = generalized_projection(LpSpace(d, p), aff, x)
+                        assert res.inner_iterations <= 8
+                        passed += res.converged
+        assert passed == 6
+
+    def test_singleton(self):
+        single = AffineSet(point=np.array([1.0, -2.0, 0.5]), directions=np.zeros((0, 3)))
+        for p in (1.5, 3.0):
+            res = generalized_projection(LpSpace(3, p), single, np.array([3.0, 1.0, -1.0]))
+            np.testing.assert_allclose(res.point, single.point, rtol=1e-15)
+            assert res.converged
+
+
 class TestGeneralizedProjection:
     def test_whole_space_identity(self, rng):
         sp = LpSpace(3, 3.0)
@@ -238,6 +370,18 @@ class TestGeneralizedProjection:
         y, iters = ConvexSet.minimize_phi(box, sp, x)
         assert iters < 100
         assert box.vi_residual(sp, x, y, None) <= 1e-6
+
+    def test_default_probes_are_drawn_once_and_read_only(self, rng):
+        for dim in (3, 10):
+            sp = LpSpace(dim, 3.0)
+            box = Box(lo=-np.ones(dim), hi=np.ones(dim))
+            x = 3.0 * rng.standard_normal(dim)
+            proj = generalized_projection(sp, box, x).point
+            assert box.vi_residual(sp, x, proj, None) == box.vi_residual(
+                sp, x, proj, np.random.default_rng(0)
+            )
+            assert not _default_probes(dim).flags.writeable
+            assert _default_probes(dim) is _default_probes(dim)
 
     def test_batched_vi_probes_match_one_probe_at_a_time(self, rng):
         # the batch draws the same probes as one standard_normal(dim) per probe
