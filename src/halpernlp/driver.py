@@ -16,11 +16,14 @@ Each step records the two theorem-bearing inequality slacks
            - phi(w,x_{n+1}) >= 0
 
 and the boundedness bound phi(w,x_n) <= max{phi(w,x_1), phi(w,u)}.
-Violations beyond tolerance indicate implementation bugs, not bad luck.
+Violations beyond tolerance indicate implementation bugs, not bad luck, and
+a run stops at the first step that shows one (a NaN slack counts).
 
 A step computes ||.||_p and J once for each point it touches: x_{n+1}'s
 come from phi(w, x_{n+1}) and are the next step's J x_n, and S_n x_n's come
-from the resolvent's residual at its answer when S_n is a resolvent.
+from the mapping: the resolvent's residual at its answer, or the blend's dual
+combination, which is J S_n x_n.  The two residual columns share one
+row-wise reduction.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LpSpace, NormedPoint, _normed, _phi, _power_norm
+from .geometry import LpSpace, NormedPoint, _normed, _phi, _power_norm, _row_power_norms
+from . import tolerances
 from .mappings import MappingSequence
 from .schedules import Schedule, validate_anchor_weights
 from .sets import AffineSet, ConvexSet, generalized_projection
@@ -41,6 +45,7 @@ class RunStatus(enum.Enum):
     CONVERGED = "Converged"
     MAX_ITER = "MaxIter"
     INNER_SOLVER_FAILURE = "InnerSolverFailure"
+    SLACK_VIOLATION = "SlackViolation"
 
 
 def reference_solution(space: LpSpace, fixed_set, u) -> np.ndarray:
@@ -146,7 +151,8 @@ class IterationTrace:
     def min_slack(self) -> float:
         if not self.slack_b.size:
             return math.inf
-        return float(min(np.min(self.slack_b), np.min(self.slack_c)))
+        # np.minimum keeps a NaN slack, where min() could drop it
+        return float(np.minimum(np.min(self.slack_b), np.min(self.slack_c)))
 
 
 def _phi_w(cfg: HalpernConfig, v: np.ndarray) -> tuple[float, NormedPoint]:
@@ -159,14 +165,14 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     """One step of the scheme; returns (x_next, y, diagnostics dict).
 
     ``prev`` is the diagnostics dict of the step that produced x.  It
-    carries phi(w, x_n) and J x_n, computed for x_{n+1} there, and the
-    mapping's warm start (for a resolvent, its last answer with that
-    answer's norm and J).  Without it the step computes phi(w, x_n) itself
-    and the mapping computes J x_n, checking x_n.
+    carries x_n with its norm and J and phi(w, x_n), computed for x_{n+1}
+    there, and the mapping's warm start (for a resolvent, its last answer
+    with that answer's norm and J).  Without it the step computes phi(w, x_n)
+    itself and the mapping computes J x_n, checking x_n.
 
-    ||S_n x_n|| and J S_n x_n come from the mapping when its output is a
-    resolvent's answer, whose residual computed them; otherwise the step
-    computes them.
+    ||S_n x_n|| and J S_n x_n come from the mapping when it carries them
+    (a resolvent's answer, or a blend's dual combination); otherwise the
+    step computes them.
     """
     space = cfg.space
     p = space.p
@@ -176,9 +182,10 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     mapping = cfg.sequence.at(n)
     if prev is None:
         warm = jx = None
-        phi_w_xn = _phi_w(cfg, x)[0]
+        phi_w_xn, xn = _phi_w(cfg, x)
     else:
-        warm, jx, phi_w_xn = prev["warm"], prev["next"].jx, prev["phi_w_next"]
+        warm, xn, phi_w_xn = prev["warm"], prev["next"], prev["phi_w_next"]
+        jx = xn.jx
     applied = mapping.apply(space, x, warm=warm, jx=jx)
     sx, nsx, jsx = applied.normed if applied.normed is not None else _normed(applied.point, p)
     jy = a * cfg.anchor_dual + (1.0 - a) * jsx
@@ -200,6 +207,7 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
         + 2.0 * a * float(np.dot(y - w, cfg.dual_gap))
         - phi_w_next
     )
+    res_fixed_point, res_y_vs_sx = _row_power_norms(np.array((x, y)) - sx, p)
 
     diag = {
         "n": n,
@@ -209,13 +217,13 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
         "next": x_next_normed,
         "phi_w_x": phi_w_xn,
         "phi_w_next": phi_w_next,
-        "res_fixed_point": _power_norm(x - sx, p),
-        "res_y_vs_sx": _power_norm(y - sx, p),
+        "res_fixed_point": res_fixed_point,
+        "res_y_vs_sx": res_y_vs_sx,
         "slack_b": slack_b,
         "slack_c": slack_c,
         "inner_iters": applied.inner_iterations + proj_iters,
         "inner_converged": applied.converged and proj_converged,
-        **mapping.step_diagnostics(space, applied.jx, jsx),
+        **mapping.step_diagnostics(space, xn.norm, applied),
     }
     return x_next, y, diag
 
@@ -223,7 +231,6 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
 def run_halpern(cfg: HalpernConfig) -> IterationTrace:
     space = cfg.space
     w = cfg.reference
-    bound = max(space.lyapunov(w, cfg.start), cfg.phi_w_u)
 
     cols = {attr: [] for attr, _, _ in TRACE_COLUMNS}
     uc_gaps: list[float] = []
@@ -238,6 +245,8 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
     n_done = 0
     for n in range(1, cfg.max_iter + 1):
         x_next, y, diag = halpern_step(cfg, n, x, prev=prev)
+        if prev is None:  # the first step took phi(w, x_1)
+            bound = max(diag["phi_w_x"], cfg.phi_w_u)
         prev = diag
         for attr in cols:
             cols[attr].append(diag[attr])
@@ -246,13 +255,18 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
             j_gaps.append(diag["j_gap"])
         if n % stride == 0 or n == 1:
             snapshots.append((n, x.copy()))
-        bound_violation = max(bound_violation, diag["phi_w_x"] - bound)
+        excess = diag["phi_w_x"] - bound
+        bound_violation = max(bound_violation, excess)
         n_done = n
+        x = x_next
+        # written so that a NaN slack fails the test
+        tol = tolerances.STEP_SLACK_TOL
+        if not (diag["slack_b"] >= -tol and diag["slack_c"] >= -tol) or excess > tol:
+            status = RunStatus.SLACK_VIOLATION
+            break
         if not diag["inner_converged"]:
-            x = x_next
             status = RunStatus.INNER_SOLVER_FAILURE
             break
-        x = x_next
         if _power_norm(x - w, space.p) <= cfg.stop_tol:
             status = RunStatus.CONVERGED
             break

@@ -312,7 +312,9 @@ def write_trace_csv(trace: IterationTrace, path: Path) -> None:
 
 
 def exit_code_for(trace: IterationTrace) -> int:
-    if trace.min_slack < -tolerances.STEP_SLACK_TOL or (
+    # run_halpern's stop rule, so RunStatus.SLACK_VIOLATION gives exit 3; a
+    # NaN slack fails the first test
+    if not trace.min_slack >= -tolerances.STEP_SLACK_TOL or (
         trace.boundedness_violation > tolerances.STEP_SLACK_TOL
     ):
         return EXIT_SLACK_VIOLATION

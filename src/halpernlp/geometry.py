@@ -56,6 +56,15 @@ def _power_norm(x: np.ndarray, exponent: float) -> float:
     return m * float(np.add.reduce((a / m) ** exponent)) ** (1.0 / exponent)
 
 
+def _row_power_norms(rows: np.ndarray, exponent: float) -> list[float]:
+    """_power_norm of each row of a 2-d array, bit for bit, in one reduction."""
+    a = np.abs(rows)
+    m = np.maximum.reduce(a, axis=1, initial=0.0)
+    # a zero row is divided by 1, and its norm is 0 as in _power_norm
+    s = np.add.reduce((a / np.where(m > 0.0, m, 1.0)[:, None]) ** exponent, axis=1)
+    return [mi * si ** (1.0 / exponent) if mi else 0.0 for mi, si in zip(m.tolist(), s.tolist())]
+
+
 def _signed_power(x: np.ndarray, exponent: float) -> np.ndarray:
     # |x_i|^e * sign(x_i); needs e > 0, so that 0^e = 0 and no zero mask is
     # needed.  Every caller passes e = p - 1 or q - 1, which is > 0 for p in
@@ -126,20 +135,13 @@ def _phi(x: np.ndarray, nx: float, jy: np.ndarray, ny: float) -> float:
     return max(v, 0.0)
 
 
-def _dual_combination(
-    lam: float, x: np.ndarray, y: np.ndarray, p: float, q: float, jx=None, jy=None
-) -> np.ndarray:
-    """J^{-1}(lam*Jx + (1-lam)*Jy), x or y itself at the ends; jx and jy are
-    Jx and Jy if known."""
+def _dual_combination(lam: float, x: np.ndarray, y: np.ndarray, p: float, q: float) -> np.ndarray:
+    """J^{-1}(lam*Jx + (1-lam)*Jy), x or y itself at the ends."""
     if lam == 1.0:
         return x.copy()
     if lam == 0.0:
         return y.copy()
-    if jx is None:
-        jx = _dual_map(x, p)
-    if jy is None:
-        jy = _dual_map(y, p)
-    return _dual_map(lam * jx + (1.0 - lam) * jy, q)
+    return _dual_map(lam * _dual_map(x, p) + (1.0 - lam) * _dual_map(y, p), q)
 
 
 @dataclass(frozen=True)

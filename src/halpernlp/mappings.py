@@ -5,6 +5,11 @@ the Lyapunov distance phi(p, .) to any of them.  Implemented variants
 are resolvents, generalized projections, and the dual-coordinate blend
 S = J^{-1}(beta J + (1 - beta) J T).  Sequences of such mappings (with a
 common fixed-point set) are what the iteration drivers consume.
+
+The blend is defined in the dual: S x = J_q v for v = beta Jx + (1 - beta) JTx,
+so J S x is v itself and ||S x||_p = ||v||_q.  Its ``apply`` returns S x with
+that norm and J, and T x with its own, and its step diagnostics are formed
+from these carried values and ||x||_p rather than recomputed.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LpSpace, NormedPoint, _dual_combination, _power_norm
+from .geometry import LpSpace, NormedPoint, _dual_map, _normed, _power_norm
 from .operators import MonotoneOperator, resolvent
 from .sets import AffineSet, ConvexSet, generalized_projection
 from .schedules import Schedule, validate_blend_weights, validate_resolvent_radii
@@ -27,6 +32,7 @@ class ApplyResult:
     jx: np.ndarray | None = None  # J of the input point, if the mapping used it
     normed: NormedPoint | None = None  # the point with its norm and J, if known
     warm: NormedPoint | None = None  # where the next application's inner solve starts
+    inner: NormedPoint | None = None  # for a blend, T x with its norm and J
 
 
 class Mapping:
@@ -39,8 +45,9 @@ class Mapping:
         """A known fixed point, or an AffineSet of them."""
         raise NotImplementedError
 
-    def step_diagnostics(self, space: LpSpace, jx, jsx) -> dict:
-        """Extra per-step diagnostics from J x and J(S x); none by default."""
+    def step_diagnostics(self, space: LpSpace, nx: float, applied: ApplyResult) -> dict:
+        """Extra per-step diagnostics from ||x||_p and the ``apply`` result
+        for x; none by default."""
         return {}
 
 
@@ -92,32 +99,28 @@ class BlendMap(Mapping):
             return ApplyResult(space.check(x).copy(), True, 0, warm=warm)
         tx = self.inner.apply(space, x, warm=warm, jx=jx)
         jx = tx.jx if tx.jx is not None else space.duality_map(x)
-        jtx = None if tx.normed is None else tx.normed.jx
+        t = tx.normed if tx.normed is not None else _normed(tx.point, space.p)
+        v = self.beta * jx + (1.0 - self.beta) * t.jx  # J S x
+        nv = _power_norm(v, space.q)  # ||S x||_p
+        sx = _dual_map(v, space.q, nv)
         # the next inner solve starts from T x, not from the blend output,
         # which lies between x and T x
         return ApplyResult(
-            _dual_combination(self.beta, x, tx.point, space.p, space.q, jx, jtx),
-            tx.converged,
-            tx.inner_iterations,
-            jx,
-            warm=tx.warm,
+            sx, tx.converged, tx.inner_iterations, jx, NormedPoint(sx, nv, v), tx.warm, t
         )
 
     def fixed_point_reference(self, space):
         return self.inner.fixed_point_reference(space)
 
-    def step_diagnostics(self, space, jx, jsx):
+    def step_diagnostics(self, space, nx, applied):
         """The convexity gap of the blend and ||Jx - J(Tx)||_q, for beta < 1."""
         if self.beta == 1.0:
             return {}
-        beta, q = self.beta, space.q
-        jtx = (jsx - beta * jx) / (1.0 - beta)  # recover J(Tx) from the blend
-        # beta ||Jx||^2 + (1-beta) ||JTx||^2 - ||J S x||^2, in dual norms; the
-        # public dual norm checks the two inputs once.  Squares are products:
+        beta, tx, n_sx = self.beta, applied.inner, applied.normed.norm
+        # beta ||x||^2 + (1-beta) ||Tx||^2 - ||S x||^2.  Squares are products:
         # a Python float ** 2 raises OverflowError where n * n gives inf.
-        n_x, n_tx, n_sx = space.dual_norm(jx), _power_norm(jtx, q), space.dual_norm(jsx)
-        uc_ft_gap = beta * (n_x * n_x) + (1.0 - beta) * (n_tx * n_tx) - n_sx * n_sx
-        return {"uc_ft_gap": uc_ft_gap, "j_gap": _power_norm(jx - jtx, q)}
+        uc_ft_gap = beta * (nx * nx) + (1.0 - beta) * (tx.norm * tx.norm) - n_sx * n_sx
+        return {"uc_ft_gap": uc_ft_gap, "j_gap": space.dual_norm(applied.jx - tx.jx)}
 
 
 class MappingSequence:

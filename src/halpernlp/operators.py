@@ -14,11 +14,14 @@ each Newton step is solved by the Sherman-Morrison formula in O(dim);
 otherwise the matrix is assembled and solved densely.
 
 Newton computes ||z||_p and J z once per trial point, in the residual, and
-keeps them with its accepted iterate (and its best-so-far fallback) as a
-``NormedPoint``: the Jacobian of J takes ||z||_p from there, and
-``ResolventResult.normed`` returns them with the answer.  A caller that has
-J x or a warm start's norm and J passes them in instead of having them
-recomputed.
+keeps them with its accepted iterate as a ``NormedPoint``: the Jacobian of J
+takes ||z||_p from there, and ``ResolventResult.normed`` returns them with
+the answer.  A caller that has J x or a warm start's norm and J passes them
+in instead of having them recomputed.  Newton steers by ||g||_2 and stops on
+||g||_q <= tol for the residual g; since ||g||_q >= c ||g||_2 (c = 1 for
+q <= 2, dim^{1/q - 1/2} for q > 2), it takes ||g||_q only where c ||g||_2 is
+within the bound, and, on a solve that ends without meeting it, for its
+accepted iterates at the end, to return the one of least ||g||_q.
 """
 
 from __future__ import annotations
@@ -246,10 +249,11 @@ def _newton_direction(space, op, r, z: NormedPoint, g, lam) -> np.ndarray:
 
 
 def _newton_start(space, x, z0) -> NormedPoint:
-    """The first Newton iterate, off the origin, with its norm and J."""
+    """The first Newton iterate, off the origin, with its norm and J.  Newton
+    writes into no iterate, so a warm start is used as it is."""
     if isinstance(z0, NormedPoint):
-        if np.any(z0.x):
-            return NormedPoint(z0.x.copy(), z0.norm, z0.jx)
+        if z0.norm > 0.0:
+            return z0
         z0 = z0.x
     z = np.asarray(x if z0 is None else z0, dtype=float)
     # nudge off the origin where the Jacobian of J degenerates
@@ -262,15 +266,20 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
     z = _newton_start(space, x, z0)
     g = _residual(space, op, r, z, jx)
     gnorm = math.sqrt(g.dot(g))
-    gq = _q_norm(space, g)
-    if gq == math.inf:
+    # a finite ||g||_2 puts every |g_i| below 1e155, so ||g||_q is finite too
+    if not gnorm < math.inf and _q_norm(space, g) == math.inf:
         # r A z or J z overflowed: no Newton direction from here is finite
-        return ResolventResult(z.x, gq, 0, False, jx, z)
+        return ResolventResult(z.x, math.inf, 0, False, jx, z)
+    c = 1.0 if space.q <= 2.0 else space.dim ** (1.0 / space.q - 0.5)
     lam = 0.0
-    best = (z, gq)
+    accepted_iterates = [(z, g)]  # the start, then each accepted iterate
     for k in range(1, _NEWTON_MAX_ITER + 1):
-        if gq <= _NEWTON_GRAD_TOL:
-            break
+        # ||g||_q >= c ||g||_2; the margin covers rounding in both norms
+        if c * gnorm <= _NEWTON_GRAD_TOL * (1.0 + 1e-12):
+            gq = _q_norm(space, g)
+            if gq <= _NEWTON_GRAD_TOL:
+                # every earlier iterate failed this test: this one is the best
+                return ResolventResult(z.x, gq, k, gq <= tolerances.RESOLVENT_TOL, jx, z)
         try:
             dz = _newton_direction(space, op, r, z, g, lam)
         except np.linalg.LinAlgError:
@@ -293,15 +302,16 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
             step *= 0.5
         if accepted:
             lam *= 0.25
-            gq = _q_norm(space, g)
-            if gq < best[1]:
-                best = (z, gq)
+            accepted_iterates.append((z, g))
         else:
             lam = max(4.0 * lam, 1e-8)
             if lam > 1e12:
                 break
-    if gq > best[1]:
-        z, gq = best
+    # the iterate of least ||g||_q: the first one of them, or the last iterate
+    # on a tie with it
+    gqs = [_q_norm(space, gi) for _, gi in accepted_iterates]
+    i = -1 if gqs[-1] <= min(gqs) else gqs.index(min(gqs))
+    z, gq = accepted_iterates[i][0], gqs[i]
     return ResolventResult(z.x, gq, k, gq <= tolerances.RESOLVENT_TOL, jx, z)
 
 

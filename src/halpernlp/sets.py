@@ -19,6 +19,10 @@ resolvent's Newton does.  The result carries the residual of the
 variational inequality <z - Q_C(x), Jx - J Q_C(x)> <= 0, probed at random
 points of C; without an rng the probes are drawn once per dimension.
 ``euclidean_project`` maps a point, or each row of a stack of points.
+Membership within a tolerance is the Euclidean distance to that projection,
+except for ``HalfSpace``, which tests <a, x> - b <= tol ||a||_2 in closed
+form: no projection, and no positive excess lost to the projection's
+rounding.
 """
 
 from __future__ import annotations
@@ -167,10 +171,17 @@ class HalfSpace(ConvexSet):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "_aa", float(np.dot(a, a)))
+        object.__setattr__(self, "_norm_a", math.sqrt(self._aa))
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
+
+    def contains(self, x, tol: float = tolerances.MEMBERSHIP_TOL) -> bool:
+        # the distance to the set is max(<a, x> - b, 0) / ||a||_2
+        if tol < 0:
+            raise ValueError("membership tolerance must be >= 0")
+        return float(self._check_dim(x) @ self.a) - self.b <= tol * self._norm_a
 
     def euclidean_project(self, x):
         x = self._check_dim(x, rows=True)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,20 @@ def test_run_contains_numerical_errors(tmp_path, capsys, make, run_id, error):
     # library callers still get the exception
     with pytest.raises((ArithmeticError, ValueError)):
         run_experiment(parse_config(path), tmp_path / "lib")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_stops_at_first_violated_inequality(tmp_path, capsys):
+    # pushed by 1e200, p3's slack b first falls below -1e-7 at step 5; the
+    # run ends there instead of using its 100,000-step budget
+    path = _perturbed_p3(tmp_path, "1.0e+200")
+    t0 = time.perf_counter()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    fields = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert fields[1] == "SlackViolation"
+    rows = (tmp_path / "out" / "p3_trace.csv").read_text().splitlines()[2:]
+    assert 1 <= len(rows) <= 5
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -157,7 +157,9 @@ def oracle_config(scheme):
 class TestStepDiagnosticsOracle:
     """The driver step caches J u, J w, ||w|| and phi(w, u), and carries
     phi(w, x_n) from the step before; its diagnostics must equal, bit for
-    bit, the same formulas evaluated with the public LpSpace methods."""
+    bit, the same formulas evaluated with the public LpSpace methods.  For
+    the blend S x = J^{-1}(beta J x + (1 - beta) J T x), J S x is that dual
+    combination and ||S x||_p is its q-norm."""
 
     @pytest.mark.parametrize("scheme", ["proximal_point", "newton_proximal", "halpern_mann"])
     def test_diagnostics_equal_public_formulas(self, scheme):
@@ -172,22 +174,24 @@ class TestStepDiagnosticsOracle:
             projected += not cfg.constraint.contains(y, 0.0)
             phi_x, phi_next = sp.lyapunov(w, x), sp.lyapunov(w, x_next)
             ju_minus_jw = sp.duality_map(u) - sp.duality_map(w)
+            if scheme == "halpern_mann":
+                beta, tx = cfg.sequence.at(n).beta, diag["warm"].x  # T x_n
+                jx, jtx = sp.duality_map(x), sp.duality_map(tx)
+                jsx = beta * jx + (1.0 - beta) * jtx
+                n_w, n_x, n_tx, n_sx = sp.norm(w), sp.norm(x), sp.norm(tx), sp.dual_norm(jsx)
+                phi_w_sx = max(n_w * n_w - 2.0 * sp.pairing(w, jsx) + n_sx * n_sx, 0.0)
+            else:
+                phi_w_sx = sp.lyapunov(w, sx)
             assert trace.phi_w_x[i] == phi_x
-            assert trace.slack_b[i] == a * sp.lyapunov(w, u) + sp.lyapunov(w, sx) - phi_next
+            assert trace.slack_b[i] == a * sp.lyapunov(w, u) + phi_w_sx - phi_next
             assert trace.slack_c[i] == (
                 (1.0 - a) * phi_x + 2.0 * a * sp.pairing(y - w, ju_minus_jw) - phi_next
             )
             assert trace.res_fixed_point[i] == sp.norm(x - sx)
             assert trace.res_y_vs_sx[i] == sp.norm(y - sx)
             if scheme == "halpern_mann":
-                beta = cfg.sequence.at(n).beta
-                jx, jsx = sp.duality_map(x), sp.duality_map(sx)
-                jtx = (jsx - beta * jx) / (1.0 - beta)
-                gap = (
-                    beta * sp.dual_norm(jx) ** 2
-                    + (1.0 - beta) * sp.dual_norm(jtx) ** 2
-                    - sp.dual_norm(jsx) ** 2
-                )
+                np.testing.assert_array_equal(sx, sp.inverse_duality_map(jsx))
+                gap = beta * (n_x * n_x) + (1.0 - beta) * (n_tx * n_tx) - n_sx * n_sx
                 assert trace.uc_ft_gap[i] == gap
                 assert diag["j_gap"] == sp.dual_norm(jx - jtx)
             x, prev = x_next, diag
@@ -234,12 +238,25 @@ class TestCarriedDuals:
                 assert warm.x is diag["sx"]
             x, prev = x_next, diag
 
-    @pytest.mark.parametrize("name, norms, duals", [("p1", 8.87, 3.44), ("p3", 14.61, 5.31)])
-    def test_private_kernel_calls_per_step(self, monkeypatch, name, norms, duals):
+    @pytest.mark.parametrize(
+        "name, norms, duals, checks", [("p1", 5.46, 3.44, 1.0), ("p3", 7.33, 4.31, 2.0)]
+    )
+    def test_private_kernel_calls_per_step(self, monkeypatch, name, norms, duals, checks):
         # ||.||_p and J run once per point a step touches; the rest of the
-        # count is inner work: Newton's trial points and residuals
-        counts = {"_power_norm": 0, "_dual_map": 0}
-        for kernel in counts:
+        # count is inner work: Newton's trial points and residuals.  Inputs
+        # are checked by the public inverse duality map of y_n and, for the
+        # blend, by the dual norm of J x_n - J T x_n.  Once per run, the
+        # first step's resolvent checks x_1 where it takes J x_1, and the
+        # final ||x - w|| and phi(w, x) check x - w, w and x
+        counts = {"_power_norm": 0, "_dual_map": 0, "check": 0}
+        check = geometry.LpSpace.check
+
+        def counted_check(self, x):
+            counts["check"] += 1
+            return check(self, x)
+
+        monkeypatch.setattr(geometry.LpSpace, "check", counted_check)
+        for kernel in ("_power_norm", "_dual_map"):
             original = getattr(geometry, kernel)
 
             def counted(*args, _f=original, _k=kernel):
@@ -251,11 +268,12 @@ class TestCarriedDuals:
                     monkeypatch.setattr(mod, kernel, counted)
         config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml"
         cfg = parse_config(config).halpern
-        counts.update(_power_norm=0, _dual_map=0)
+        counts.update(_power_norm=0, _dual_map=0, check=0)
         trace = run_halpern(cfg)
         steps = trace.iterations
         assert counts["_power_norm"] / steps <= norms
         assert counts["_dual_map"] / steps <= duals
+        assert counts["check"] <= checks * steps + 4
 
 
 class TestRunProximalPoint:

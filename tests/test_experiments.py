@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import halpernlp.driver as driver
 from halpernlp.experiments import (
     EXIT_INNER_FAILURE,
     EXIT_IO_ERROR,
@@ -15,6 +16,7 @@ from halpernlp.experiments import (
     CSV_COLUMNS,
     ConfigError,
     config_from_dict,
+    exit_code_for,
     parse_config,
     run_experiment,
     run_suite,
@@ -217,6 +219,29 @@ def test_corrupted_step_exit_three(tmp_path):
     summary, trace = run_experiment(cfg, tmp_path)
     assert summary.exit_code == EXIT_SLACK_VIOLATION
     assert trace.min_slack < -1e-7 or trace.boundedness_violation > 1e-7
+
+
+def test_nan_slack_is_a_violation(tmp_path):
+    # min() over the two slack columns could drop a NaN in the second one
+    _, trace = run_experiment(config_from_dict(small_config(**{"budgets.max_iter": 3})), tmp_path)
+    assert exit_code_for(trace) == EXIT_MAX_ITER
+    trace.slack_c[1] = np.nan
+    assert exit_code_for(trace) == EXIT_SLACK_VIOLATION
+
+
+def test_run_stops_at_a_nan_slack(monkeypatch):
+    step = driver.halpern_step
+
+    def nan_at_step_two(cfg, n, x, prev=None):
+        x_next, y, diag = step(cfg, n, x, prev=prev)
+        if n == 2:
+            diag["slack_c"] = np.nan
+        return x_next, y, diag
+
+    monkeypatch.setattr(driver, "halpern_step", nan_at_step_two)
+    trace = driver.run_halpern(config_from_dict(small_config()).halpern)
+    assert trace.status is driver.RunStatus.SLACK_VIOLATION
+    assert trace.iterations == 2 and np.isnan(trace.slack_c[-1])
 
 
 TRACE_ATTRS = {  # CSV header -> (IterationTrace attribute, cell type)

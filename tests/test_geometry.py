@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halpernlp import LpSpace
-from halpernlp.geometry import DimensionMismatchError
+from halpernlp.geometry import DimensionMismatchError, _power_norm, _row_power_norms
 
 from conftest import P_GRID
 
@@ -266,6 +266,32 @@ class TestDualityMapBitExact:
                     want = _masked_dual_map(x, exponent)
                     assert got.tobytes() == want.tobytes(), (p, x)
                     assert np.all(got[[1, 2, 4, 6]] == 0.0)
+
+
+class TestRowPowerNorms:
+    """The driver's two residual columns come from one row-wise reduction,
+    which must equal _power_norm of each row bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0, 10.0])
+    def test_matches_power_norm(self, rng, p):
+        tiny = np.finfo(float).smallest_subnormal
+        rows = [
+            np.zeros(5),
+            np.array([-0.0, 0.0, -0.0]),
+            np.array([3.5]),
+            np.array([-0.0]),
+            np.array([tiny, -3 * tiny, 0.0, 7 * tiny]),
+            np.array([1e300, -1e300, 3e299]),
+            np.array([1e-300, 2e-310, -1e-300]),
+            np.array([1e300, 1e-300, -0.0, tiny]),
+        ]
+        for dim in (1, 2, 3, 10, 200):
+            for _ in range(20):
+                rows.append(rng.standard_normal(dim) * 10.0 ** rng.uniform(-300, 300))
+        for r0 in rows:
+            for r1 in (r0[::-1].copy(), np.zeros(r0.size), 1e-5 * rng.standard_normal(r0.size)):
+                got = _row_power_norms(np.array((r0, r1)), p)
+                assert got == [_power_norm(r0, p), _power_norm(r1, p)], (p, r0, r1)
 
 
 class TestValidationAtBoundary:

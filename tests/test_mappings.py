@@ -25,7 +25,8 @@ from halpernlp import (
     srns_diagnostic,
 )
 from halpernlp import schedules
-from halpernlp.mappings import reference_points
+from halpernlp.geometry import NormedPoint
+from halpernlp.mappings import ApplyResult, reference_points
 from halpernlp.operators import resolvent
 from halpernlp.schedules import (
     Schedule,
@@ -86,9 +87,12 @@ class TestApply:
                     assert space.lyapunov(p_hat, sx) <= space.lyapunov(p_hat, x) + 1e-7
 
     def test_step_diagnostics_overflow_to_inf(self, space, quad_op):
-        # ||Jx||_q near 1e200: its square is inf, not an OverflowError
+        # ||x||_p = ||Jx||_q near 1e200: its square is inf, not an OverflowError
         s = BlendMap(inner=ResolventMap(op=quad_op, r=1.0), beta=0.5)
-        diag = s.step_diagnostics(space, np.array([1e200, -2e200]), np.array([1.0, 0.5]))
+        jx, tx = np.array([1e200, -2e200]), np.array([1.0, 0.5])
+        t = NormedPoint(tx, space.norm(tx), space.duality_map(tx))
+        applied = ApplyResult(tx, True, 0, jx=jx, normed=t, inner=t)
+        diag = s.step_diagnostics(space, space.dual_norm(jx), applied)
         assert diag["uc_ft_gap"] == np.inf
         assert np.isfinite(diag["j_gap"])
 

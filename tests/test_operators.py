@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -13,9 +15,9 @@ from halpernlp import (
     LpSpace,
     MonotoneOperator,
 )
-from halpernlp.geometry import NormedPoint
-from halpernlp import operators
-from halpernlp.operators import duality_map_jacobian, monotonicity_gap, resolvent
+from halpernlp.geometry import NormedPoint, _normed
+from halpernlp import operators, tolerances
+from halpernlp.operators import ResolventResult, duality_map_jacobian, monotonicity_gap, resolvent
 
 
 def sample_operators(dim=2):
@@ -413,3 +415,136 @@ def test_diagonal_p2_closed_form_matches_dense_solve(rng):
             res = resolvent(sp, op, r, x)
             assert res.inner_iterations == 0 and res.converged
             np.testing.assert_allclose(res.point, dense, rtol=1e-14, atol=1e-14)
+
+
+def _eager_newton_resolvent(space, op, r, x, jx, z0):
+    """Newton as it was before ||g||_q became lazy: ||g||_q at every
+    accepted iterate, the best so far kept as it goes, and a warm start
+    copied.  Returns the result and which exit the solve took."""
+    p = space.p
+    if isinstance(z0, NormedPoint) and np.any(z0.x):
+        z = NormedPoint(z0.x.copy(), z0.norm, z0.jx)
+    else:
+        z0 = z0.x if isinstance(z0, NormedPoint) else z0
+        z = np.asarray(x if z0 is None else z0, dtype=float)
+        z = _normed(z.copy() if np.any(z) else z + 1e-6, p)
+    g = operators._residual(space, op, r, z, jx)
+    gnorm = math.sqrt(g.dot(g))
+    gq = operators._q_norm(space, g)
+    if gq == math.inf:
+        return ResolventResult(z.x, gq, 0, False, jx, z), "overflow"
+    lam, best, exit = 0.0, (z, gq), "cap"
+    for k in range(1, operators._NEWTON_MAX_ITER + 1):
+        if gq <= operators._NEWTON_GRAD_TOL:
+            exit = "stop"
+            break
+        try:
+            dz = operators._newton_direction(space, op, r, z, g, lam)
+        except np.linalg.LinAlgError:
+            lam = max(2.0 * lam, 1e-8)
+            continue
+        if not np.isfinite(dz).all():
+            exit = "non-finite"
+            break
+        step, accepted = 1.0, False
+        for _ in range(60):
+            cand = _normed(z.x + step * dz, p)
+            gc = operators._residual(space, op, r, cand, jx)
+            gcn = math.sqrt(gc.dot(gc))
+            if gcn < gnorm * (1.0 - 1e-4 * step):
+                z, g, gnorm, accepted = cand, gc, gcn, True
+                break
+            step *= 0.5
+        if accepted:
+            lam *= 0.25
+            gq = operators._q_norm(space, g)
+            if gq < best[1]:
+                best = (z, gq)
+        else:
+            lam = max(4.0 * lam, 1e-8)
+            if lam > 1e12:
+                exit = "stall"
+                break
+    if gq > best[1]:
+        z, gq = best
+    return ResolventResult(z.x, gq, k, gq <= tolerances.RESOLVENT_TOL, jx, z), exit
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lazy_stop_test_matches_eager_newton(monkeypatch):
+    # ||g||_q is taken only where the stop test can pass, and for the
+    # fallback at the end; every result must equal the eager solve's bit for
+    # bit.  Inputs are (scale, r).  Scale 1e8 at p = 10 stalls Levenberg;
+    # under a 2-iteration cap, which ends most solves there, scale 1e160
+    # overflows ||g||_2 but not ||g||_q and r = 1e300 at scale 1e10
+    # overflows the start.
+    rng = np.random.default_rng(14)
+    dim, exits, cases = 5, set(), 0
+    for cap in (200, 2):
+        monkeypatch.setattr(operators, "_NEWTON_MAX_ITER", cap)
+        for p in (1.1, 1.5, 3.0, 6.0, 10.0):
+            sp = LpSpace(dim, p)
+            g = rng.standard_normal((dim, dim))
+            ops = [
+                GradientOfQuadratic(q=np.diag(rng.uniform(0.1, 1.0, dim)), c=rng.standard_normal(dim)),
+                LinearMonotone(m=g @ g.T + 0.1 * np.eye(dim), b=rng.standard_normal(dim)),
+            ]
+            extreme = [(1e160, 1.0), (1e10, 1e300)] if cap == 2 else [(1e8, 1.0)] * (p == 10.0)
+            for op, (scale, r) in itertools.product(ops, [(1.0, 1.0)] + extreme):
+                x, z0 = scale * rng.standard_normal(dim), scale * rng.standard_normal(dim)
+                jx = sp.duality_map(x)
+                zero = np.zeros(dim)
+                for warm in (None, NormedPoint(z0, sp.norm(z0), sp.duality_map(z0)), NormedPoint(zero, 0.0, zero)):
+                    old, exit = _eager_newton_resolvent(sp, op, r, x, jx, warm)
+                    new = resolvent(sp, op, r, x, z0=warm, jx=jx)
+                    tag = (cap, p, type(op).__name__, scale, r, exit)
+                    assert new.point.tobytes() == old.point.tobytes(), tag
+                    assert (new.residual, new.inner_iterations, new.converged) == (
+                        old.residual, old.inner_iterations, old.converged), tag
+                    assert new.normed.x.tobytes() == old.normed.x.tobytes(), tag
+                    assert new.normed.norm == old.normed.norm, tag
+                    assert new.normed.jx.tobytes() == old.normed.jx.tobytes(), tag
+                    exits.add(exit)
+                    cases += 1
+    assert exits == {"stop", "cap", "stall", "non-finite", "overflow"}
+    assert cases == 126
+
+
+def _assert_same_solve(sp, op, x, z0=None):
+    jx = sp.duality_map(x)
+    old, _ = _eager_newton_resolvent(sp, op, 1.0, x, jx, z0)
+    new = resolvent(sp, op, 1.0, x, z0=z0, jx=jx)
+    assert new.point.tobytes() == old.point.tobytes()
+    assert (new.residual, new.inner_iterations, new.converged) == (
+        old.residual, old.inner_iterations, old.converged)
+    return old
+
+
+@pytest.mark.parametrize("p, dim", [(1.1, 5), (1.5, 5), (3.0, 1), (6.0, 1)])
+def test_lazy_stop_test_at_the_tolerance(monkeypatch, p, dim):
+    # the tolerance is set to the ||g||_q of Newton's k-th iterate, and the
+    # solve must stop there: for q > 2 ||g||_q < ||g||_2, and in one
+    # dimension ||g||_q = c ||g||_2, where only the margin lets it pass
+    rng = np.random.default_rng(int(10 * p))
+    sp = LpSpace(dim, p)
+    op = GradientOfQuadratic(q=np.diag(rng.uniform(0.1, 1.0, dim)), c=rng.standard_normal(dim))
+    x = rng.standard_normal(dim)
+    default_tol, default_cap = operators._NEWTON_GRAD_TOL, operators._NEWTON_MAX_ITER
+    for k in (1, 2, 3):
+        monkeypatch.setattr(operators, "_NEWTON_MAX_ITER", k)
+        tol = _assert_same_solve(sp, op, x).residual
+        if k > 1 and tol <= default_tol:
+            break  # the default tolerance stopped the solve before iterate k
+        monkeypatch.setattr(operators, "_NEWTON_MAX_ITER", default_cap)
+        monkeypatch.setattr(operators, "_NEWTON_GRAD_TOL", tol)
+        assert _assert_same_solve(sp, op, x).inner_iterations == k + 1
+        monkeypatch.setattr(operators, "_NEWTON_GRAD_TOL", default_tol)
+
+
+def test_lazy_fallback_returns_the_last_of_tied_iterates(monkeypatch, rng):
+    # a constant ||g||_q ties every iterate; the eager solve returned the last
+    monkeypatch.setattr(operators, "_q_norm", lambda space, g: 1.0)
+    monkeypatch.setattr(operators, "_NEWTON_MAX_ITER", 3)
+    sp = LpSpace(4, 3.0)
+    op = GradientOfQuadratic(q=np.diag(rng.uniform(0.1, 1.0, 4)), c=rng.standard_normal(4))
+    assert _assert_same_solve(sp, op, rng.standard_normal(4)).inner_iterations == 3

@@ -174,6 +174,42 @@ def halfspace_vi_gap(space, hs, x, y):
     return radius * float(np.linalg.norm(jg - t * hs.a)) + along
 
 
+class TestHalfSpaceMembership:
+    """HalfSpace.contains tests <a, x> - b <= tol ||a||_2 in closed form."""
+
+    def test_agrees_with_projection_distance_away_from_the_boundary(self, rng):
+        for _ in range(300):
+            dim = int(rng.integers(1, 12))
+            hs = HalfSpace(a=rng.standard_normal(dim), b=float(rng.standard_normal()))
+            x = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(dim)
+            dist = max(float(x @ hs.a) - hs.b, 0.0) / np.linalg.norm(hs.a)
+            for tol in (0.0, 1e-7, 1e-3, 1.0):
+                if abs(dist - tol) > 1e-9 * (1.0 + np.abs(x).max()):
+                    assert hs.contains(x, tol) == ConvexSet.contains(hs, x, tol), (x, tol)
+
+    def test_every_positive_excess_is_outside_at_zero_tolerance(self, rng):
+        # walk a boundary point outward until <a, x> - b > 0; the projection
+        # formula reports some of these as inside, when its correction of
+        # x rounds away
+        generic_inside = 0
+        for _ in range(1000):
+            dim = int(rng.integers(1, 12))
+            hs = HalfSpace(a=rng.standard_normal(dim), b=float(rng.standard_normal()) * 10.0 ** rng.uniform(-3, 3))
+            x = hs.euclidean_project(10.0 ** rng.uniform(-3, 3) * rng.standard_normal(dim))
+            i = int(np.argmax(np.abs(hs.a)))
+            step = np.spacing(max(abs(x[i]), 1e-300))
+            while float(x @ hs.a) - hs.b <= 0.0:
+                x[i] += np.copysign(step, hs.a[i])
+                step *= 2.0
+            assert not hs.contains(x, 0.0), x
+            generic_inside += ConvexSet.contains(hs, x, 0.0)
+        assert generic_inside > 0
+
+    def test_rejects_negative_tolerance(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            HalfSpace(a=np.ones(2), b=0.0).contains(np.zeros(2), -1.0)
+
+
 class TestHalfSpaceNewton:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0, 10.0])
