@@ -19,11 +19,14 @@ and the boundedness bound phi(w,x_n) <= max{phi(w,x_1), phi(w,u)}.
 Violations beyond tolerance indicate implementation bugs, not bad luck, and
 a run stops at the first step that shows one (a NaN slack counts).
 
-A step computes ||.||_p and J once for each point it touches: x_{n+1}'s
-come from phi(w, x_{n+1}) and are the next step's J x_n, and S_n x_n's come
-from the mapping: the resolvent's residual at its answer, or the blend's dual
-combination, which is J S_n x_n.  The two residual columns share one
-row-wise reduction.
+A step computes ||.||_p and J once for each point it touches.  S_n x_n's
+come from the mapping: the resolvent's answer, or the blend's dual
+combination.  y_n = J^{-1} jy for the anchor blend jy = alpha_n J u +
+(1 - alpha_n) J S_n x_n, so an unprojected x_{n+1} = y_n has J x_{n+1} = jy
+and ||x_{n+1}||_p = ||jy||_q; they give phi(w, x_{n+1}) and the next J x_n.
+The slacks, the bound and the stop test are judged at every step; the two
+residual columns are formed by run_halpern in blocks of steps, bit for bit
+the per-step norms.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LpSpace, NormedPoint, _normed, _phi, _power_norm, _row_power_norms
+from .geometry import LpSpace, NormedPoint, _dual_map, _normed, _phi, _power_norm, _row_power_norms
 from . import tolerances
 from .mappings import MappingSequence
 from .schedules import Schedule, validate_anchor_weights
@@ -124,6 +127,13 @@ TRACE_COLUMNS = (
     ("slack_c", "slack_c", float),
     ("inner_iters", "inner_iters", int),
 )
+# the columns a step's diagnostics hold; run_halpern forms the residual ones
+_STEP_ATTRS = tuple(
+    attr for attr, _, _ in TRACE_COLUMNS if attr not in ("res_fixed_point", "res_y_vs_sx")
+)
+# run_halpern keeps x_n, y_n and S_n x_n of steps up to this many coordinates
+# of x_n, then forms their residual columns in one reduction
+_RESIDUAL_BLOCK = 2**12
 
 
 @dataclass
@@ -168,11 +178,12 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     carries x_n with its norm and J and phi(w, x_n), computed for x_{n+1}
     there, and the mapping's warm start (for a resolvent, its last answer
     with that answer's norm and J).  Without it the step computes phi(w, x_n)
-    itself and the mapping computes J x_n, checking x_n.
+    itself, the mapping computes J x_n, checking x_n, and J^{-1} checks the
+    anchor blend.
 
     ||S_n x_n|| and J S_n x_n come from the mapping when it carries them
     (a resolvent's answer, or a blend's dual combination); otherwise the
-    step computes them.
+    step computes them.  The diagnostics hold S_n x_n as "sx".
     """
     space = cfg.space
     p = space.p
@@ -189,7 +200,8 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     applied = mapping.apply(space, x, warm=warm, jx=jx)
     sx, nsx, jsx = applied.normed if applied.normed is not None else _normed(applied.point, p)
     jy = a * cfg.anchor_dual + (1.0 - a) * jsx
-    y = space.inverse_duality_map(jy)
+    ny = _power_norm(jy, space.q)  # ||y||_p
+    y = space.inverse_duality_map(jy) if prev is None else _dual_map(jy, space.q, ny)
     if cfg.perturb_step:
         y = y + cfg.perturb_step
     if cfg.constraint.contains(y, 0.0):
@@ -200,14 +212,18 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
         x_next = proj.point
         proj_converged, proj_iters = proj.converged, proj.inner_iterations
 
-    phi_w_next, x_next_normed = _phi_w(cfg, x_next)
+    if x_next is y and not cfg.perturb_step:
+        # J J^{-1} jy = jy and ||J^{-1} jy||_p = ||jy||_q
+        x_next_normed = NormedPoint(y, ny, jy)
+        phi_w_next = _phi(w, cfg.reference_norm, jy, ny)
+    else:
+        phi_w_next, x_next_normed = _phi_w(cfg, x_next)
     slack_b = a * cfg.phi_w_u + _phi(w, cfg.reference_norm, jsx, nsx) - phi_w_next
     slack_c = (
         (1.0 - a) * phi_w_xn
         + 2.0 * a * float(np.dot(y - w, cfg.dual_gap))
         - phi_w_next
     )
-    res_fixed_point, res_y_vs_sx = _row_power_norms(np.array((x, y)) - sx, p)
 
     diag = {
         "n": n,
@@ -217,8 +233,6 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
         "next": x_next_normed,
         "phi_w_x": phi_w_xn,
         "phi_w_next": phi_w_next,
-        "res_fixed_point": res_fixed_point,
-        "res_y_vs_sx": res_y_vs_sx,
         "slack_b": slack_b,
         "slack_c": slack_c,
         "inner_iters": applied.inner_iterations + proj_iters,
@@ -237,6 +251,17 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
     j_gaps: list[float] = []
     snapshots = []
     stride = max(1, math.ceil(cfg.max_iter / 1000))
+    block = max(1, _RESIDUAL_BLOCK // space.dim)
+    pending = []  # (x_n, y_n, S_n x_n) of the steps whose residuals are not formed
+
+    def form_residuals():
+        # each row is reduced on its own, so each norm is _power_norm of its row
+        k = len(pending)
+        xs, ys, sxs = (np.array(v) for v in zip(*pending))
+        norms = _row_power_norms(np.concatenate((xs - sxs, ys - sxs)), space.p)
+        cols["res_fixed_point"] += norms[:k]
+        cols["res_y_vs_sx"] += norms[k:]
+        pending.clear()
 
     x = cfg.start.copy()
     prev = None
@@ -248,8 +273,11 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
         if prev is None:  # the first step took phi(w, x_1)
             bound = max(diag["phi_w_x"], cfg.phi_w_u)
         prev = diag
-        for attr in cols:
+        for attr in _STEP_ATTRS:
             cols[attr].append(diag[attr])
+        pending.append((x, y, diag["sx"]))
+        if len(pending) == block:
+            form_residuals()
         if "uc_ft_gap" in diag:
             uc_gaps.append(diag["uc_ft_gap"])
             j_gaps.append(diag["j_gap"])
@@ -267,9 +295,16 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
         if not diag["inner_converged"]:
             status = RunStatus.INNER_SOLVER_FAILURE
             break
-        if _power_norm(x - w, space.p) <= cfg.stop_tol:
+        # ||v||_p >= max|v_i|, so the max rules out most steps without the norm
+        err = x - w
+        if (
+            float(np.maximum.reduce(np.abs(err))) <= cfg.stop_tol
+            and _power_norm(err, space.p) <= cfg.stop_tol
+        ):
             status = RunStatus.CONVERGED
             break
+    if pending:
+        form_residuals()
 
     return IterationTrace(
         status=status,

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy.optimize import minimize_scalar
 
 from halpernlp import (
@@ -26,10 +27,15 @@ from halpernlp import (
     reference_solution,
     run_halpern,
 )
+import halpernlp.driver as driver
 import halpernlp.geometry as geometry
+from halpernlp.geometry import _power_norm
 from halpernlp.driver import TRACE_COLUMNS
-from halpernlp.experiments import parse_config
+from halpernlp.experiments import config_from_dict, parse_config
 from halpernlp.sequences import RealSequencePrefix, TauCertificate, eventually_increasing_tau
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def quad_problem(dim=4, p=3.0, seed=0):
@@ -159,29 +165,43 @@ class TestStepDiagnosticsOracle:
     phi(w, x_n) from the step before; its diagnostics must equal, bit for
     bit, the same formulas evaluated with the public LpSpace methods.  For
     the blend S x = J^{-1}(beta J x + (1 - beta) J T x), J S x is that dual
-    combination and ||S x||_p is its q-norm."""
+    combination and ||S x||_p is its q-norm.  Likewise y = J^{-1} jy for the
+    anchor blend jy = alpha J u + (1 - alpha) J S x, so an x_{n+1} = y has
+    J x_{n+1} = jy and ||x_{n+1}||_p = ||jy||_q; a projected x_{n+1} has its
+    own.  J x_n is that of the step before, and J x_1 its own."""
 
     @pytest.mark.parametrize("scheme", ["proximal_point", "newton_proximal", "halpern_mann"])
     def test_diagnostics_equal_public_formulas(self, scheme):
         cfg = oracle_config(scheme)
         sp, w, u = cfg.space, cfg.reference, cfg.anchor
+        n_w = sp.norm(w)
         trace = run_halpern(cfg)
         assert trace.iterations == 50
         x, prev, projected = cfg.start, None, 0
+        jx, phi_x = sp.duality_map(x), sp.lyapunov(w, x)
         for n in range(1, 51):
             x_next, y, diag = halpern_step(cfg, n, x, prev=prev)
             sx, a, i = diag["sx"], cfg.alpha(n), n - 1
-            projected += not cfg.constraint.contains(y, 0.0)
-            phi_x, phi_next = sp.lyapunov(w, x), sp.lyapunov(w, x_next)
             ju_minus_jw = sp.duality_map(u) - sp.duality_map(w)
             if scheme == "halpern_mann":
                 beta, tx = cfg.sequence.at(n).beta, diag["warm"].x  # T x_n
-                jx, jtx = sp.duality_map(x), sp.duality_map(tx)
+                jtx = sp.duality_map(tx)
                 jsx = beta * jx + (1.0 - beta) * jtx
-                n_w, n_x, n_tx, n_sx = sp.norm(w), sp.norm(x), sp.norm(tx), sp.dual_norm(jsx)
+                n_x, n_tx, n_sx = sp.norm(x), sp.norm(tx), sp.dual_norm(jsx)
                 phi_w_sx = max(n_w * n_w - 2.0 * sp.pairing(w, jsx) + n_sx * n_sx, 0.0)
             else:
+                jsx = sp.duality_map(sx)
                 phi_w_sx = sp.lyapunov(w, sx)
+            jy = a * sp.duality_map(u) + (1.0 - a) * jsx
+            np.testing.assert_array_equal(y, sp.inverse_duality_map(jy))
+            if x_next is y:
+                n_y = sp.dual_norm(jy)
+                phi_next = max(n_w * n_w - 2.0 * sp.pairing(w, jy) + n_y * n_y, 0.0)
+                jx_next = jy
+            else:
+                projected += 1
+                phi_next = sp.lyapunov(w, x_next)
+                jx_next = sp.duality_map(x_next)
             assert trace.phi_w_x[i] == phi_x
             assert trace.slack_b[i] == a * sp.lyapunov(w, u) + phi_w_sx - phi_next
             assert trace.slack_c[i] == (
@@ -194,38 +214,58 @@ class TestStepDiagnosticsOracle:
                 gap = beta * (n_x * n_x) + (1.0 - beta) * (n_tx * n_tx) - n_sx * n_sx
                 assert trace.uc_ft_gap[i] == gap
                 assert diag["j_gap"] == sp.dual_norm(jx - jtx)
-            x, prev = x_next, diag
+            x, prev, jx, phi_x = x_next, diag, jx_next, phi_next
         np.testing.assert_array_equal(x, trace.final_x)
-        if scheme == "halpern_mann":
-            assert projected > 0
+        # the half-space of halpern_mann is active in every step; the whole
+        # space never projects
+        assert projected == (50 if scheme == "halpern_mann" else 0)
 
     def test_standalone_step_matches_step_in_run(self):
-        # the resolvent has a closed form, so no warm start moves S_n x_n and a
-        # step without carried state must give the run's numbers exactly
+        # the resolvent has a closed form, so no warm start moves S_n x_n.  A
+        # step without carried state takes J x_n and phi(w, x_n) from x_n
+        # itself, where the run carries them from the anchor blend, so from
+        # step 2 on they agree with the run's only to rounding; the first
+        # step carries nothing in either and is the run's step exactly
         cfg = oracle_config("proximal_point")
+        p = cfg.space.p
         trace = run_halpern(cfg)
         assert [n for n, _ in trace.snapshots] == list(range(1, 51))
         for n, x in trace.snapshots:
-            _, _, diag = halpern_step(cfg, n, x)
+            _, y, diag = halpern_step(cfg, n, x)
+            sx, i = diag["sx"], n - 1
+            res = {"res_fixed_point": _power_norm(x - sx, p), "res_y_vs_sx": _power_norm(y - sx, p)}
             for attr, _, _ in TRACE_COLUMNS:
-                assert diag[attr] == getattr(trace, attr)[n - 1], (n, attr)
+                got = res[attr] if attr in res else diag[attr]
+                want = getattr(trace, attr)[i]
+                if n == 1 or attr in ("n", "alpha", "inner_iters"):
+                    assert got == want, (n, attr)
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (n, attr)
 
 
 class TestCarriedDuals:
     """What a step carries to the next: x_{n+1} with its norm and J, and the
-    warm start of the next inner solve."""
+    warm start of the next inner solve.  An unprojected x_{n+1} = y_n carries
+    the anchor blend jy and ||jy||_q; a projected one its own J and norm."""
 
     @pytest.mark.parametrize("scheme", ["proximal_point", "newton_proximal", "halpern_mann"])
     def test_carried_values_equal_public_values(self, scheme):
         cfg = oracle_config(scheme)
         sp = cfg.space
-        x, prev = cfg.start, None
+        x, prev, carried = cfg.start, None, 0
         for n in range(1, 31):
-            x_next, _, diag = halpern_step(cfg, n, x, prev=prev)
+            x_next, y, diag = halpern_step(cfg, n, x, prev=prev)
             nxt = diag["next"]
             assert nxt.x is x_next
-            assert nxt.norm == sp.norm(x_next)
-            np.testing.assert_array_equal(nxt.jx, sp.duality_map(x_next))
+            if x_next is y:
+                carried += 1
+                a, jsx = cfg.alpha(n), sp.duality_map(diag["sx"])
+                np.testing.assert_array_equal(nxt.jx, a * sp.duality_map(cfg.anchor) + (1.0 - a) * jsx)
+                np.testing.assert_array_equal(nxt.x, sp.inverse_duality_map(nxt.jx))
+                assert nxt.norm == sp.dual_norm(nxt.jx)
+            else:
+                assert nxt.norm == sp.norm(x_next)
+                np.testing.assert_array_equal(nxt.jx, sp.duality_map(x_next))
             warm = diag["warm"]
             np.testing.assert_array_equal(warm.jx, sp.duality_map(warm.x))
             if scheme == "halpern_mann":
@@ -237,17 +277,20 @@ class TestCarriedDuals:
             else:
                 assert warm.x is diag["sx"]
             x, prev = x_next, diag
+        assert carried == (0 if scheme == "halpern_mann" else 30)
 
     @pytest.mark.parametrize(
-        "name, norms, duals, checks", [("p1", 5.46, 3.44, 1.0), ("p3", 7.33, 4.31, 2.0)]
+        "name, norms, duals, checks", [("p1", 3.69, 2.43, 0.0), ("p3", 5.55, 3.31, 1.0)]
     )
     def test_private_kernel_calls_per_step(self, monkeypatch, name, norms, duals, checks):
-        # ||.||_p and J run once per point a step touches; the rest of the
-        # count is inner work: Newton's trial points and residuals.  Inputs
-        # are checked by the public inverse duality map of y_n and, for the
-        # blend, by the dual norm of J x_n - J T x_n.  Once per run, the
-        # first step's resolvent checks x_1 where it takes J x_1, and the
-        # final ||x - w|| and phi(w, x) check x - w, w and x
+        # ||.||_p and J run once per point a step touches; an unprojected
+        # x_{n+1} takes them from the anchor blend, and ||x_{n+1} - w||_p runs
+        # only once max|x_{n+1} - w| is within stop_tol.  The rest of the
+        # count is inner work: Newton's trial points and residuals.  For the
+        # blend, the dual norm of J x_n - J T x_n checks its input at every
+        # step.  Once per run, the first step's resolvent checks x_1 where it
+        # takes J x_1, its inverse duality map checks the anchor blend, and
+        # the final ||x - w|| and phi(w, x) check x - w, w and x
         counts = {"_power_norm": 0, "_dual_map": 0, "check": 0}
         check = geometry.LpSpace.check
 
@@ -266,14 +309,63 @@ class TestCarriedDuals:
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name.startswith("halpernlp") and getattr(mod, kernel, None) is original:
                     monkeypatch.setattr(mod, kernel, counted)
-        config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml"
+        config = CONFIG_DIR / f"{name}.yaml"
         cfg = parse_config(config).halpern
         counts.update(_power_norm=0, _dual_map=0, check=0)
         trace = run_halpern(cfg)
         steps = trace.iterations
         assert counts["_power_norm"] / steps <= norms
         assert counts["_dual_map"] / steps <= duals
-        assert counts["check"] <= checks * steps + 4
+        assert counts["check"] <= checks * steps + 5
+
+
+def shipped_config(name, **over):
+    """A shipped config with dotted-path overrides, as a HalpernConfig."""
+    raw = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
+    for key, value in over.items():
+        *head, last = key.split(".")
+        node = raw
+        for part in head:
+            node = node.setdefault(part, {})
+        node[last] = value
+    return config_from_dict(raw).halpern
+
+
+class TestBlockResiduals:
+    """run_halpern forms the two residual columns in blocks of steps.  Each
+    row must equal, bit for bit, the per-step formula on the x_n, y_n and
+    S_n x_n of that step, whether the run crosses block boundaries or stops
+    inside a block for any reason."""
+
+    @pytest.mark.parametrize(
+        "name, over, status, steps, whole_blocks",
+        [
+            ("p1", {}, RunStatus.CONVERGED, 2140, 5),
+            ("p1", {"budgets.max_iter": 500}, RunStatus.MAX_ITER, 500, 1),
+            ("p3", {"debug.perturb_step": 1.0e200}, RunStatus.SLACK_VIOLATION, 5, 0),
+            ("p1", {"space.p": 1.1}, RunStatus.INNER_SOLVER_FAILURE, 13, 0),
+        ],
+        ids=["converged", "max_iter", "slack_violation", "inner_failure"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e200 push overflows
+    def test_rows_equal_per_step_norms(self, monkeypatch, name, over, status, steps, whole_blocks):
+        cfg = shipped_config(name, **over)
+        seen = []
+        step = driver.halpern_step
+
+        def recording(cfg, n, x, prev=None):
+            x_next, y, diag = step(cfg, n, x, prev=prev)
+            seen.append((x, y, diag["sx"]))
+            return x_next, y, diag
+
+        monkeypatch.setattr(driver, "halpern_step", recording)
+        trace = run_halpern(cfg)
+        assert (trace.status, trace.iterations) == (status, steps)
+        block = driver._RESIDUAL_BLOCK // cfg.space.dim
+        assert (steps // block, steps % block > 0) == (whole_blocks, True)
+        p = cfg.space.p
+        np.testing.assert_array_equal(trace.res_fixed_point, [_power_norm(x - sx, p) for x, _, sx in seen])
+        np.testing.assert_array_equal(trace.res_y_vs_sx, [_power_norm(y - sx, p) for _, y, sx in seen])
 
 
 class TestRunProximalPoint:

@@ -269,8 +269,9 @@ class TestDualityMapBitExact:
 
 
 class TestRowPowerNorms:
-    """The driver's two residual columns come from one row-wise reduction,
-    which must equal _power_norm of each row bit for bit."""
+    """The driver's two residual columns come from one row-wise reduction
+    per block of steps, which must equal _power_norm of each row bit for bit,
+    whatever the number of rows."""
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0, 10.0])
     def test_matches_power_norm(self, rng, p):
@@ -292,6 +293,29 @@ class TestRowPowerNorms:
             for r1 in (r0[::-1].copy(), np.zeros(r0.size), 1e-5 * rng.standard_normal(r0.size)):
                 got = _row_power_norms(np.array((r0, r1)), p)
                 assert got == [_power_norm(r0, p), _power_norm(r1, p)], (p, r0, r1)
+        for dim in (1, 2, 3, 10, 200):
+            same = [r for r in rows if r.size == dim]
+            # about as many coordinates as a block of the driver's residuals
+            stack = np.array(same * max(1, 2**13 // (dim * len(same))))
+            assert _row_power_norms(stack, p) == [_power_norm(r, p) for r in stack], (p, dim)
+
+
+_PEAK_ELEMENTS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals included
+    st.sampled_from([0.0, -0.0, 1e300, -1e-300, np.finfo(float).smallest_subnormal]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    v=st.lists(_PEAK_ELEMENTS, min_size=1, max_size=30).map(np.array),
+    p=st.sampled_from([1.1, 1.5, 2.0, 3.0, 6.0, 10.0]),
+)
+def test_power_norm_is_at_least_the_peak(v, p):
+    # the scaled sum holds the exact term 1.0, so its root and the norm are
+    # >= 1.0 and >= max|v_i|; the driver's stop test rests on this
+    assert _power_norm(v, p) >= float(np.max(np.abs(v)))
 
 
 class TestValidationAtBoundary:
