@@ -179,7 +179,9 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     there, and the mapping's warm start (for a resolvent, its last answer
     with that answer's norm and J).  Without it the step computes phi(w, x_n)
     itself, the mapping computes J x_n, checking x_n, and J^{-1} checks the
-    anchor blend.
+    anchor blend.  A run carries J x_n from the step before's anchor blend,
+    which can differ from J of x_n at rounding level, so a step replays a
+    run's step exactly only when given that carried state.
 
     ||S_n x_n|| and J S_n x_n come from the mapping when it carries them
     (a resolvent's answer, or a blend's dual combination); otherwise the
@@ -200,8 +202,13 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     applied = mapping.apply(space, x, warm=warm, jx=jx)
     sx, nsx, jsx = applied.normed if applied.normed is not None else _normed(applied.point, p)
     jy = a * cfg.anchor_dual + (1.0 - a) * jsx
-    ny = _power_norm(jy, space.q)  # ||y||_p
-    y = space.inverse_duality_map(jy) if prev is None else _dual_map(jy, space.q, ny)
+    ny = _power_norm(jy, space.q)  # ||y||_p, non-finite if a coordinate of jy is
+    if prev is None:
+        y = space.inverse_duality_map(jy)
+    elif not math.isfinite(ny):  # the check space.inverse_duality_map makes
+        raise ValueError("vector has non-finite coordinates")
+    else:
+        y = _dual_map(jy, space.q, ny)
     if cfg.perturb_step:
         y = y + cfg.perturb_step
     if cfg.constraint.contains(y, 0.0):
@@ -295,12 +302,7 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
         if not diag["inner_converged"]:
             status = RunStatus.INNER_SOLVER_FAILURE
             break
-        # ||v||_p >= max|v_i|, so the max rules out most steps without the norm
-        err = x - w
-        if (
-            float(np.maximum.reduce(np.abs(err))) <= cfg.stop_tol
-            and _power_norm(err, space.p) <= cfg.stop_tol
-        ):
+        if _power_norm(x - w, space.p) <= cfg.stop_tol:
             status = RunStatus.CONVERGED
             break
     if pending:

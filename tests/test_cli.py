@@ -3,10 +3,13 @@
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from halpernlp.cli import main
 from halpernlp.experiments import parse_config, run_experiment
+from halpernlp.geometry import NormedPoint
+from halpernlp.mappings import ResolventMap
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -111,6 +114,29 @@ def test_run_contains_numerical_errors(tmp_path, capsys, make, run_id, error):
     # library callers still get the exception
     with pytest.raises((ArithmeticError, ValueError)):
         run_experiment(parse_config(path), tmp_path / "lib")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf / inf in the norms
+def test_run_contains_a_non_finite_blend_after_the_first_step(tmp_path, capsys, monkeypatch):
+    # from step 2 on the driver takes y_n = J^{-1} jy from the anchor blend jy
+    # without the public map; a non-finite jy must still end the run as a
+    # numerical error (exit 4)
+    apply, calls = ResolventMap.apply, []
+
+    def blowing_up(self, space, x, warm=None, jx=None):
+        res = apply(self, space, x, warm=warm, jx=jx)
+        calls.append(x)
+        if len(calls) == 3:  # S_3 x_3, and with it the blend of step 3
+            inf = np.full_like(res.point, np.inf)
+            res.point, res.normed = inf, NormedPoint(inf, np.inf, inf)
+        return res
+
+    monkeypatch.setattr(ResolventMap, "apply", blowing_up)
+    assert main(["run", str(CONFIG_DIR / "p1.yaml"), "--out", str(tmp_path)]) == 4
+    fields = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert fields[:2] == ["p1", "ValueError: vector has non-finite coordinates"]
+    assert fields[-1] == "4"
+    assert len(calls) == 3
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

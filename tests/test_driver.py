@@ -29,7 +29,7 @@ from halpernlp import (
 )
 import halpernlp.driver as driver
 import halpernlp.geometry as geometry
-from halpernlp.geometry import _power_norm
+from halpernlp.geometry import NormedPoint, _power_norm
 from halpernlp.driver import TRACE_COLUMNS
 from halpernlp.experiments import config_from_dict, parse_config
 from halpernlp.sequences import RealSequencePrefix, TauCertificate, eventually_increasing_tau
@@ -221,26 +221,33 @@ class TestStepDiagnosticsOracle:
         assert projected == (50 if scheme == "halpern_mann" else 0)
 
     def test_standalone_step_matches_step_in_run(self):
-        # the resolvent has a closed form, so no warm start moves S_n x_n.  A
-        # step without carried state takes J x_n and phi(w, x_n) from x_n
-        # itself, where the run carries them from the anchor blend, so from
-        # step 2 on they agree with the run's only to rounding; the first
-        # step carries nothing in either and is the run's step exactly
+        # the resolvent has a closed form, so no warm start moves S_n x_n: a
+        # step given x_n with the norm, J and phi(w, x_n) it carries, and no
+        # warm start, must give the run's numbers exactly, and the run's
+        # residual columns are the norms of its own x_n, y_n and S_n x_n.
+        # x_1 carries nothing; x_{n+1} = y_n carries the anchor blend of step
+        # n, formed here with the public methods from that step's S x
         cfg = oracle_config("proximal_point")
-        p = cfg.space.p
+        sp, w, ju = cfg.space, cfg.reference, cfg.space.duality_map(cfg.anchor)
+        p, n_w = sp.p, sp.norm(w)
         trace = run_halpern(cfg)
         assert [n for n, _ in trace.snapshots] == list(range(1, 51))
+        carried = None
         for n, x in trace.snapshots:
-            _, y, diag = halpern_step(cfg, n, x)
-            sx, i = diag["sx"], n - 1
-            res = {"res_fixed_point": _power_norm(x - sx, p), "res_y_vs_sx": _power_norm(y - sx, p)}
+            prev = None
+            if carried is not None:
+                n_y, jy, phi_y = carried
+                np.testing.assert_array_equal(x, sp.inverse_duality_map(jy))
+                prev = {"next": NormedPoint(x, n_y, jy), "phi_w_next": phi_y, "warm": None}
+            _, y, diag = halpern_step(cfg, n, x, prev=prev)
+            sx = diag["sx"]
+            row = {**diag, "res_fixed_point": _power_norm(x - sx, p), "res_y_vs_sx": _power_norm(y - sx, p)}
             for attr, _, _ in TRACE_COLUMNS:
-                got = res[attr] if attr in res else diag[attr]
-                want = getattr(trace, attr)[i]
-                if n == 1 or attr in ("n", "alpha", "inner_iters"):
-                    assert got == want, (n, attr)
-                else:
-                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (n, attr)
+                assert row[attr] == getattr(trace, attr)[n - 1], (n, attr)
+            a = cfg.alpha(n)
+            jy = a * ju + (1.0 - a) * sp.duality_map(sx)
+            n_y = sp.dual_norm(jy)
+            carried = n_y, jy, max(n_w * n_w - 2.0 * sp.pairing(w, jy) + n_y * n_y, 0.0)
 
 
 class TestCarriedDuals:
@@ -279,14 +286,36 @@ class TestCarriedDuals:
             x, prev = x_next, diag
         assert carried == (0 if scheme == "halpern_mann" else 30)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf / inf in the norms
+    @pytest.mark.parametrize("bad_step", [1, 3])
+    def test_non_finite_blend_raises_in_its_step(self, monkeypatch, bad_step):
+        # step 1 takes y_1 = J^{-1} jy with the public, checked map; later
+        # steps take it privately and check ||jy||_q, which is non-finite
+        # when a coordinate of jy is.  Either way the step that forms a
+        # non-finite anchor blend raises
+        cfg = parse_config(CONFIG_DIR / "p1.yaml").halpern
+        x, prev = cfg.start, None
+        for n in range(1, bad_step):
+            x, _, prev = halpern_step(cfg, n, x, prev=prev)
+        apply = ResolventMap.apply
+
+        def blowing_up(self, space, x, warm=None, jx=None):
+            res = apply(self, space, x, warm=warm, jx=jx)
+            inf = np.full_like(res.point, np.inf)
+            res.point, res.normed = inf, NormedPoint(inf, np.inf, inf)
+            return res
+
+        monkeypatch.setattr(ResolventMap, "apply", blowing_up)
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            halpern_step(cfg, bad_step, x, prev=prev)
+
     @pytest.mark.parametrize(
-        "name, norms, duals, checks", [("p1", 3.69, 2.43, 0.0), ("p3", 5.55, 3.31, 1.0)]
+        "name, norms, duals, checks", [("p1", 4.46, 2.43, 0.0), ("p3", 6.32, 3.31, 1.0)]
     )
     def test_private_kernel_calls_per_step(self, monkeypatch, name, norms, duals, checks):
         # ||.||_p and J run once per point a step touches; an unprojected
-        # x_{n+1} takes them from the anchor blend, and ||x_{n+1} - w||_p runs
-        # only once max|x_{n+1} - w| is within stop_tol.  The rest of the
-        # count is inner work: Newton's trial points and residuals.  For the
+        # x_{n+1} takes them from the anchor blend.  The rest of the count is
+        # inner work: Newton's trial points and residuals.  For the
         # blend, the dual norm of J x_n - J T x_n checks its input at every
         # step.  Once per run, the first step's resolvent checks x_1 where it
         # takes J x_1, its inverse duality map checks the anchor blend, and
