@@ -25,8 +25,8 @@ combination.  y_n = J^{-1} jy for the anchor blend jy = alpha_n J u +
 (1 - alpha_n) J S_n x_n, so an unprojected x_{n+1} = y_n has J x_{n+1} = jy
 and ||x_{n+1}||_p = ||jy||_q; they give phi(w, x_{n+1}) and the next J x_n.
 The slacks, the bound and the stop test are judged at every step; the two
-residual columns are formed by run_halpern in blocks of steps, bit for bit
-the per-step norms.
+residual columns, with a blend's S_n x_n and its J gap ||J x_n - J T_n x_n||_q,
+are formed by run_halpern in blocks of steps, bit for bit the per-step kernels.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LpSpace, NormedPoint, _dual_map, _normed, _phi, _power_norm, _row_power_norms
+from .geometry import (
+    LpSpace, NormedPoint, _dual_map, _normed, _phi, _power_norm, _row_dual_maps, _row_power_norms
+)
 from . import tolerances
 from .mappings import MappingSequence
 from .schedules import Schedule, validate_anchor_weights
@@ -132,7 +134,7 @@ _STEP_ATTRS = tuple(
     attr for attr, _, _ in TRACE_COLUMNS if attr not in ("res_fixed_point", "res_y_vs_sx")
 )
 # run_halpern keeps x_n, y_n and S_n x_n of steps up to this many coordinates
-# of x_n, then forms their residual columns in one reduction
+# of x_n, then forms their residual columns and J gaps in one reduction
 _RESIDUAL_BLOCK = 2**12
 
 
@@ -151,6 +153,7 @@ class IterationTrace:
     slack_c: np.ndarray
     inner_iters: np.ndarray
     uc_ft_gap: np.ndarray | None  # blend-scheme convexity gap, when applicable
+    j_gap: np.ndarray | None  # ||J x_n - J T_n x_n||_q, with uc_ft_gap
     snapshots: list  # (n, x_n) down-sampled full iterates
     boundedness_violation: float  # max over steps of phi(w,x_n) - bound
     final_error: float = math.inf  # ||x_final - w||_p
@@ -185,7 +188,8 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
 
     ||S_n x_n|| and J S_n x_n come from the mapping when it carries them
     (a resolvent's answer, or a blend's dual combination); otherwise the
-    step computes them.  The diagnostics hold S_n x_n as "sx".
+    step computes them.  The diagnostics hold S_n x_n as the NormedPoint "image"
+    (x None for a blend) and a blend's J x_n - J T_n x_n as "j_diff".
     """
     space = cfg.space
     p = space.p
@@ -200,8 +204,8 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
         warm, xn, phi_w_xn = prev["warm"], prev["next"], prev["phi_w_next"]
         jx = xn.jx
     applied = mapping.apply(space, x, warm=warm, jx=jx)
-    sx, nsx, jsx = applied.normed if applied.normed is not None else _normed(applied.point, p)
-    jy = a * cfg.anchor_dual + (1.0 - a) * jsx
+    image = applied.normed if applied.normed is not None else _normed(applied.point, p)
+    jy = a * cfg.anchor_dual + (1.0 - a) * image.jx
     ny = _power_norm(jy, space.q)  # ||y||_p, non-finite if a coordinate of jy is
     if prev is None:
         y = space.inverse_duality_map(jy)
@@ -225,7 +229,7 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
         phi_w_next = _phi(w, cfg.reference_norm, jy, ny)
     else:
         phi_w_next, x_next_normed = _phi_w(cfg, x_next)
-    slack_b = a * cfg.phi_w_u + _phi(w, cfg.reference_norm, jsx, nsx) - phi_w_next
+    slack_b = a * cfg.phi_w_u + _phi(w, cfg.reference_norm, image.jx, image.norm) - phi_w_next
     slack_c = (
         (1.0 - a) * phi_w_xn
         + 2.0 * a * float(np.dot(y - w, cfg.dual_gap))
@@ -235,7 +239,7 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     diag = {
         "n": n,
         "alpha": a,
-        "sx": sx,
+        "image": image,
         "warm": applied.warm,
         "next": x_next_normed,
         "phi_w_x": phi_w_xn,
@@ -259,16 +263,21 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
     snapshots = []
     stride = max(1, math.ceil(cfg.max_iter / 1000))
     block = max(1, _RESIDUAL_BLOCK // space.dim)
-    pending = []  # (x_n, y_n, S_n x_n) of the steps whose residuals are not formed
+    pending = []  # (x_n, y_n, S_n x_n's "image") of the steps whose residuals are not formed
+    j_diffs = []  # J x_n - J T_n x_n of the blend steps whose J gap is not formed
 
-    def form_residuals():
-        # each row is reduced on its own, so each norm is _power_norm of its row
+    def form_block():
+        # each row is mapped or reduced on its own: bit for bit the per-step kernel
         k = len(pending)
-        xs, ys, sxs = (np.array(v) for v in zip(*pending))
-        norms = _row_power_norms(np.concatenate((xs - sxs, ys - sxs)), space.p)
+        xs, ys, images = zip(*pending)
+        sxs = np.array([s.jx if s.x is None else s.x for s in images])
+        dual = [i for i, s in enumerate(images) if s.x is None]  # S x = J^{-1} J S x
+        sxs[dual] = _row_dual_maps(sxs[dual], space.q, [images[i].norm for i in dual])
+        norms = _row_power_norms(np.concatenate((np.array(xs) - sxs, np.array(ys) - sxs)), space.p)
         cols["res_fixed_point"] += norms[:k]
         cols["res_y_vs_sx"] += norms[k:]
-        pending.clear()
+        j_gaps.extend(_row_power_norms(np.array(j_diffs).reshape(-1, space.dim), space.q))
+        del pending[:], j_diffs[:]
 
     x = cfg.start.copy()
     prev = None
@@ -282,12 +291,15 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
         prev = diag
         for attr in _STEP_ATTRS:
             cols[attr].append(diag[attr])
-        pending.append((x, y, diag["sx"]))
-        if len(pending) == block:
-            form_residuals()
         if "uc_ft_gap" in diag:
             uc_gaps.append(diag["uc_ft_gap"])
-            j_gaps.append(diag["j_gap"])
+            if n == 1:  # the checked norm, as step 1 takes the checked J^{-1}
+                j_gaps.append(space.dual_norm(diag["j_diff"]))
+            else:
+                j_diffs.append(diag["j_diff"])
+        pending.append((x, y, diag["image"]))
+        if len(pending) == block:
+            form_block()
         if n % stride == 0 or n == 1:
             snapshots.append((n, x.copy()))
         excess = diag["phi_w_x"] - bound
@@ -306,7 +318,7 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
             status = RunStatus.CONVERGED
             break
     if pending:
-        form_residuals()
+        form_block()
 
     return IterationTrace(
         status=status,
@@ -318,6 +330,7 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
             for attr, _, kind in TRACE_COLUMNS
         },
         uc_ft_gap=np.asarray(uc_gaps) if uc_gaps else None,
+        j_gap=np.asarray(j_gaps) if uc_gaps else None,
         snapshots=snapshots,
         boundedness_violation=bound_violation,
         final_error=space.norm(x - w),

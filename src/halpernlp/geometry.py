@@ -83,6 +83,13 @@ def _dual_map(x: np.ndarray, exponent: float, nx: float | None = None) -> np.nda
     return nx * _signed_power(x / nx, exponent - 1.0)
 
 
+def _row_dual_maps(rows: np.ndarray, exponent: float, norms) -> np.ndarray:
+    """_dual_map of each row with its known norm, bit for bit; a zero row is
+    divided by 1 and scaled by 0, which gives +0.0s as _dual_map does."""
+    n = np.asarray(norms, dtype=float)[:, None]
+    return n * _signed_power(rows / np.where(n == 0.0, 1.0, n), exponent - 1.0)
+
+
 def _dual_map_jacobian(x: np.ndarray, exponent: float, nx: float | None = None):
     """Jacobian of the l^exponent duality map at x as (d, gamma, u), meaning
     diag(d) + gamma u u'; nx is ||x||_exponent if known.
@@ -101,7 +108,8 @@ def _dual_map_jacobian(x: np.ndarray, exponent: float, nx: float | None = None):
         # issues); return a small multiple of I as a usable Newton model
         return np.full(x.size, 1e-8), 0.0, np.zeros(x.size)
     ax = np.abs(x)
-    diag = np.where(ax > 0, ax ** (exponent - 2.0), 0.0)
+    # 0^{e-2} is 0 for e > 2; for e < 2 it is inf, and zeros are masked
+    diag = ax ** (exponent - 2.0) if exponent > 2.0 else np.where(ax > 0, ax ** (exponent - 2.0), 0.0)
     u = x * diag
     if exponent < 2.0:
         # |x_i|^{e-2} blows up at zeros only for e < 2; clipping it for e > 2
@@ -116,9 +124,10 @@ class NormedPoint(NamedTuple):
 
     The solver loops compute ||x||_p and Jx once per point and pass this
     along, so that a later consumer of the same point does not recompute them.
+    A blend's S x is given in the dual only, with x None.
     """
 
-    x: np.ndarray
+    x: np.ndarray | None
     norm: float
     jx: np.ndarray
 

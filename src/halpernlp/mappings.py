@@ -7,9 +7,10 @@ S = J^{-1}(beta J + (1 - beta) J T).  Sequences of such mappings (with a
 common fixed-point set) are what the iteration drivers consume.
 
 The blend is defined in the dual: S x = J_q v for v = beta Jx + (1 - beta) JTx,
-so J S x is v itself and ||S x||_p = ||v||_q.  Its ``apply`` returns S x with
-that norm and J, and T x with its own, and its step diagnostics are formed
-from these carried values and ||x||_p rather than recomputed.
+so J S x is v itself and ||S x||_p = ||v||_q.  Its ``apply`` forms only these
+two, all the driver step reads, and T x with its norm and J; S x is formed
+when the result's ``point`` is first read.  Its step diagnostics are formed
+from these carried values and ||x||_p, and give J x - J T x as a vector.
 """
 
 from __future__ import annotations
@@ -26,13 +27,24 @@ from .schedules import Schedule, validate_blend_weights, validate_resolvent_radi
 
 @dataclass
 class ApplyResult:
-    point: np.ndarray
+    _point: np.ndarray | None  # S x; for a blend, J_q of normed.jx, formed when read
     converged: bool
     inner_iterations: int
     jx: np.ndarray | None = None  # J of the input point, if the mapping used it
     normed: NormedPoint | None = None  # the point with its norm and J, if known
     warm: NormedPoint | None = None  # where the next application's inner solve starts
     inner: NormedPoint | None = None  # for a blend, T x with its norm and J
+    q: float | None = None  # the dual exponent, for a point formed from ``normed``
+
+    @property
+    def point(self) -> np.ndarray:
+        if self._point is None:
+            self._point = _dual_map(self.normed.jx, self.q, self.normed.norm)
+        return self._point
+
+    @point.setter
+    def point(self, value: np.ndarray) -> None:
+        self._point = value
 
 
 class Mapping:
@@ -101,26 +113,23 @@ class BlendMap(Mapping):
         jx = tx.jx if tx.jx is not None else space.duality_map(x)
         t = tx.normed if tx.normed is not None else _normed(tx.point, space.p)
         v = self.beta * jx + (1.0 - self.beta) * t.jx  # J S x
-        nv = _power_norm(v, space.q)  # ||S x||_p
-        sx = _dual_map(v, space.q, nv)
+        sx = NormedPoint(None, _power_norm(v, space.q), v)  # ||S x||_p = ||v||_q
         # the next inner solve starts from T x, not from the blend output,
         # which lies between x and T x
-        return ApplyResult(
-            sx, tx.converged, tx.inner_iterations, jx, NormedPoint(sx, nv, v), tx.warm, t
-        )
+        return ApplyResult(None, tx.converged, tx.inner_iterations, jx, sx, tx.warm, t, space.q)
 
     def fixed_point_reference(self, space):
         return self.inner.fixed_point_reference(space)
 
     def step_diagnostics(self, space, nx, applied):
-        """The convexity gap of the blend and ||Jx - J(Tx)||_q, for beta < 1."""
+        """The convexity gap of the blend and Jx - J(Tx), for beta < 1."""
         if self.beta == 1.0:
             return {}
         beta, tx, n_sx = self.beta, applied.inner, applied.normed.norm
         # beta ||x||^2 + (1-beta) ||Tx||^2 - ||S x||^2.  Squares are products:
         # a Python float ** 2 raises OverflowError where n * n gives inf.
         uc_ft_gap = beta * (nx * nx) + (1.0 - beta) * (tx.norm * tx.norm) - n_sx * n_sx
-        return {"uc_ft_gap": uc_ft_gap, "j_gap": space.dual_norm(applied.jx - tx.jx)}
+        return {"uc_ft_gap": uc_ft_gap, "j_diff": applied.jx - tx.jx}
 
 
 class MappingSequence:

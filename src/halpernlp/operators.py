@@ -9,9 +9,9 @@ Jacobians and Levenberg regularization.
 
 The Jacobian of J is diagonal plus rank one.  When the operator's
 Jacobian is a constant diagonal matrix (``GradientOfQuadratic`` or
-``LinearMonotone`` with a diagonal matrix), so is the Newton matrix, and
-each Newton step is solved by the Sherman-Morrison formula in O(dim);
-otherwise the matrix is assembled and solved densely.
+``LinearMonotone`` with a diagonal matrix), so is the Newton matrix: r dA
+is formed once per solve and each step solved by Sherman-Morrison in O(dim),
+skipping the positivity scan when r dA > 0.  Otherwise it is solved densely.
 
 Newton computes ||z||_p and J z once per trial point, in the residual, and
 keeps them with its accepted iterate as a ``NormedPoint``: the Jacobian of J
@@ -215,7 +215,7 @@ def resolvent(
 
 def _residual(space, op, r, z: NormedPoint, jx) -> np.ndarray:
     """J z + r A z - J x at a checked z."""
-    return z.jx + r * op.evaluate(space, z.x) - jx
+    return z.jx + (op.evaluate(space, z.x) if r == 1.0 else r * op.evaluate(space, z.x)) - jx
 
 
 def _q_norm(space, g) -> float:
@@ -224,28 +224,28 @@ def _q_norm(space, g) -> float:
     return math.inf if math.isnan(res) else res
 
 
-def _newton_direction(space, op, r, z: NormedPoint, g, lam) -> np.ndarray:
-    """Solve (dJ(z) + r dA(z) + lam I) dz = -g; LinAlgError if it is singular."""
+def _newton_direction(space, op, r, z: NormedPoint, g, lam, rb, rb_positive) -> np.ndarray:
+    """Solve (dJ(z) + r dA(z) + lam I) dz = -g; LinAlgError if it is singular.
+    rb is r dA for a constant diagonal dA, else None; rb_positive is rb > 0."""
     d, gamma, u = duality_map_jacobian(space, z.x, z.norm)
-    bdiag = op.jacobian_diagonal
-    if bdiag is None:
+    if rb is None:
         jac = gamma * np.outer(u, u) + np.diag(d) + r * op.jacobian(space, z.x)
         if lam > 0.0:
             jac = jac + lam * np.eye(space.dim)
         return np.linalg.solve(jac, -g)
-    # Sherman-Morrison on diag(dd) + gamma u u'; like a dense solve, a model
-    # that overflowed to NaN gives a NaN step, which ends the solve
-    dd = d + r * bdiag
+    # Sherman-Morrison on diag(dd) + gamma u u'.  As in a dense solve, a NaN model
+    # gives a NaN step, which ends the solve; d >= 0 or NaN, so dd <= 0 needs r b_ii <= 0
+    dd = d + rb
     if lam > 0.0:
         dd = dd + lam
-    if (dd <= 0.0).any():
+    if not rb_positive and (dd <= 0.0).any():
         raise np.linalg.LinAlgError("non-positive diagonal in the Newton matrix")
     du = u / dd
     denom = 1.0 + gamma * float(np.dot(u, du))
     if denom <= 0.0:
         raise np.linalg.LinAlgError("non-positive Sherman-Morrison denominator")
-    dg = -g / dd
-    return dg - (gamma * float(np.dot(u, dg)) / denom) * du
+    gd = g / dd
+    return (gamma * float(np.dot(u, gd)) / denom) * du - gd
 
 
 def _newton_start(space, x, z0) -> NormedPoint:
@@ -271,6 +271,8 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
         # r A z or J z overflowed: no Newton direction from here is finite
         return ResolventResult(z.x, math.inf, 0, False, jx, z)
     c = 1.0 if space.q <= 2.0 else space.dim ** (1.0 / space.q - 0.5)
+    rb = op.jacobian_diagonal if r == 1.0 or op.jacobian_diagonal is None else r * op.jacobian_diagonal
+    rb_positive = rb is not None and rb.min() > 0.0
     lam = 0.0
     accepted_iterates = [(z, g)]  # the start, then each accepted iterate
     for k in range(1, _NEWTON_MAX_ITER + 1):
@@ -281,17 +283,17 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
                 # every earlier iterate failed this test: this one is the best
                 return ResolventResult(z.x, gq, k, gq <= tolerances.RESOLVENT_TOL, jx, z)
         try:
-            dz = _newton_direction(space, op, r, z, g, lam)
+            dz = _newton_direction(space, op, r, z, g, lam, rb, rb_positive)
         except np.linalg.LinAlgError:
             lam = max(2.0 * lam, 1e-8)
             continue
         if not np.isfinite(dz).all():
             # the Newton model overflowed; regularizing cannot make it finite
             break
-        step = 1.0
+        step, trial = 1.0, z.x + dz
         accepted = False
         for _ in range(60):
-            cand = _normed(z.x + step * dz, p)
+            cand = _normed(trial, p)
             gc = _residual(space, op, r, cand, jx)
             gcn = math.sqrt(gc.dot(gc))
             # a non-finite trial residual fails this test and is rejected
@@ -300,6 +302,7 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
                 accepted = True
                 break
             step *= 0.5
+            trial = z.x + step * dz
         if accepted:
             lam *= 0.25
             accepted_iterates.append((z, g))

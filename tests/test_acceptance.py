@@ -5,6 +5,7 @@ lines.  Each test pins the tolerance and the wall-clock budget it must meet;
 a failed assertion prints the FAIL line before raising.
 """
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -313,14 +314,16 @@ def test_criterion_8_anchor_dependence():
     gate.finish()
 
 
-# Steps and summed inner iterations of each shipped config, keyed by its
-# _TRACES entry (criteria 5-7 leave p1, p2 and p3): a change to the inner
-# solvers that keeps these counts kept the iteration they run.
+# Steps, summed inner iterations and the sha256 of the trace CSV of each
+# shipped config, keyed by its _TRACES entry (criteria 5-7 leave p1, p2 and
+# p3): a change to the inner solvers that keeps these counts kept the
+# iteration they run, and one that keeps the hashes kept every traced bit.
+# A change that moves these bits on purpose updates the pins and says so.
 _SHIPPED_WORK = {
-    "p1": ("p1", 2140, 5193),
-    "p2_divergent": ("p2", 1759, 3649),
-    "p3": ("p3", 4279, 9845),
-    "p4_line": ("p4_line", 431, 1313),
+    "p1": ("p1", 2140, 5193, "58b85873bce50b4cb41db40356f61b6fc87d83d851a42a45ba31320a9c18caec"),
+    "p2_divergent": ("p2", 1759, 3649, "dd2ca0a02157923b3abf6594fda2d41e3ff2671a7c4248f00a70ad193ed2c583"),
+    "p3": ("p3", 4279, 9845, "be736755b0d52080d7ccd369ba0ab0d74fae0161999b5f549ccf6e0de0735b3c"),
+    "p4_line": ("p4_line", 431, 1313, "0955d21cd022c7e6f17f84823041730ac97b80094e33a0b120664a39d267a7c5"),
 }
 
 
@@ -333,10 +336,34 @@ def _shipped_trace(name):
     return _TRACES[key]
 
 
-def test_shipped_configs_keep_their_work():
-    for name, (_, steps, inner) in _SHIPPED_WORK.items():
+def _trace_bytes(trace, path):
+    write_trace_csv(trace, path)
+    return path.read_bytes()
+
+
+def test_shipped_configs_keep_their_work(tmp_path):
+    for name, (_, steps, inner, sha) in _SHIPPED_WORK.items():
         trace = _shipped_trace(name)
         assert (trace.iterations, int(trace.inner_iters.sum())) == (steps, inner), name
+        assert hashlib.sha256(_trace_bytes(trace, tmp_path / f"{name}.csv")).hexdigest() == sha, name
+
+
+def test_shipped_traces_are_sign_flip_equivariant(tmp_path):
+    # J, J^{-1}, the resolvent of an odd operator and the projection onto a
+    # half-space through the flipped normal are all odd, so negating c, u,
+    # x_1 and a negates every iterate; the trace holds only sign-free
+    # quantities, so its bytes must not change
+    for name in _SHIPPED_WORK:
+        raw = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
+        cfg = parse_config(CONFIG_DIR / f"{name}.yaml").halpern
+        raw["operator"]["c"] = [-c for c in raw["operator"]["c"]]
+        raw["start"] = {"u": (-cfg.anchor).tolist(), "x1": (-cfg.start).tolist()}
+        if raw["constraint"]["variant"] == "half_space":
+            raw["constraint"]["a"] = [-a for a in raw["constraint"]["a"]]
+        flipped = run_halpern(config_from_dict(raw).halpern)
+        assert _trace_bytes(flipped, tmp_path / f"{name}_flipped.csv") == _trace_bytes(
+            _shipped_trace(name), tmp_path / f"{name}.csv"
+        ), name
 
 
 def test_criterion_9_per_step_inequalities():

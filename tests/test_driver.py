@@ -168,7 +168,10 @@ class TestStepDiagnosticsOracle:
     combination and ||S x||_p is its q-norm.  Likewise y = J^{-1} jy for the
     anchor blend jy = alpha J u + (1 - alpha) J S x, so an x_{n+1} = y has
     J x_{n+1} = jy and ||x_{n+1}||_p = ||jy||_q; a projected x_{n+1} has its
-    own.  J x_n is that of the step before, and J x_1 its own."""
+    own.  J x_n is that of the step before, and J x_1 its own.  A blend's
+    step gives S x in the dual only, and J x - J T x as a vector: the run
+    forms S x = J^{-1} J S x for the residual columns and ||J x - J T x||_q
+    for trace.j_gap."""
 
     @pytest.mark.parametrize("scheme", ["proximal_point", "newton_proximal", "halpern_mann"])
     def test_diagnostics_equal_public_formulas(self, scheme):
@@ -181,7 +184,7 @@ class TestStepDiagnosticsOracle:
         jx, phi_x = sp.duality_map(x), sp.lyapunov(w, x)
         for n in range(1, 51):
             x_next, y, diag = halpern_step(cfg, n, x, prev=prev)
-            sx, a, i = diag["sx"], cfg.alpha(n), n - 1
+            image, a, i = diag["image"], cfg.alpha(n), n - 1
             ju_minus_jw = sp.duality_map(u) - sp.duality_map(w)
             if scheme == "halpern_mann":
                 beta, tx = cfg.sequence.at(n).beta, diag["warm"].x  # T x_n
@@ -189,7 +192,11 @@ class TestStepDiagnosticsOracle:
                 jsx = beta * jx + (1.0 - beta) * jtx
                 n_x, n_tx, n_sx = sp.norm(x), sp.norm(tx), sp.dual_norm(jsx)
                 phi_w_sx = max(n_w * n_w - 2.0 * sp.pairing(w, jsx) + n_sx * n_sx, 0.0)
+                assert image.x is None and image.norm == n_sx
+                np.testing.assert_array_equal(image.jx, jsx)
+                sx = sp.inverse_duality_map(jsx)
             else:
+                sx = image.x
                 jsx = sp.duality_map(sx)
                 phi_w_sx = sp.lyapunov(w, sx)
             jy = a * sp.duality_map(u) + (1.0 - a) * jsx
@@ -210,10 +217,10 @@ class TestStepDiagnosticsOracle:
             assert trace.res_fixed_point[i] == sp.norm(x - sx)
             assert trace.res_y_vs_sx[i] == sp.norm(y - sx)
             if scheme == "halpern_mann":
-                np.testing.assert_array_equal(sx, sp.inverse_duality_map(jsx))
                 gap = beta * (n_x * n_x) + (1.0 - beta) * (n_tx * n_tx) - n_sx * n_sx
                 assert trace.uc_ft_gap[i] == gap
-                assert diag["j_gap"] == sp.dual_norm(jx - jtx)
+                np.testing.assert_array_equal(diag["j_diff"], jx - jtx)
+                assert trace.j_gap[i] == sp.dual_norm(jx - jtx)
             x, prev, jx, phi_x = x_next, diag, jx_next, phi_next
         np.testing.assert_array_equal(x, trace.final_x)
         # the half-space of halpern_mann is active in every step; the whole
@@ -240,7 +247,7 @@ class TestStepDiagnosticsOracle:
                 np.testing.assert_array_equal(x, sp.inverse_duality_map(jy))
                 prev = {"next": NormedPoint(x, n_y, jy), "phi_w_next": phi_y, "warm": None}
             _, y, diag = halpern_step(cfg, n, x, prev=prev)
-            sx = diag["sx"]
+            sx = diag["image"].x
             row = {**diag, "res_fixed_point": _power_norm(x - sx, p), "res_y_vs_sx": _power_norm(y - sx, p)}
             for attr, _, _ in TRACE_COLUMNS:
                 assert row[attr] == getattr(trace, attr)[n - 1], (n, attr)
@@ -266,7 +273,7 @@ class TestCarriedDuals:
             assert nxt.x is x_next
             if x_next is y:
                 carried += 1
-                a, jsx = cfg.alpha(n), sp.duality_map(diag["sx"])
+                a, jsx = cfg.alpha(n), sp.duality_map(diag["image"].x)
                 np.testing.assert_array_equal(nxt.jx, a * sp.duality_map(cfg.anchor) + (1.0 - a) * jsx)
                 np.testing.assert_array_equal(nxt.x, sp.inverse_duality_map(nxt.jx))
                 assert nxt.norm == sp.dual_norm(nxt.jx)
@@ -278,11 +285,11 @@ class TestCarriedDuals:
             if scheme == "halpern_mann":
                 # the blend's next resolvent starts from T x_n, not S x_n
                 inner = cfg.sequence.at(n).inner
-                assert not np.array_equal(warm.x, diag["sx"])
+                assert not np.array_equal(warm.x, sp.inverse_duality_map(diag["image"].jx))
                 g = sp.duality_map(warm.x) + inner.r * inner.op.evaluate(sp, warm.x) - sp.duality_map(x)
                 assert sp.dual_norm(g) <= 1e-8
             else:
-                assert warm.x is diag["sx"]
+                assert warm is diag["image"]
             x, prev = x_next, diag
         assert carried == (0 if scheme == "halpern_mann" else 30)
 
@@ -310,17 +317,19 @@ class TestCarriedDuals:
             halpern_step(cfg, bad_step, x, prev=prev)
 
     @pytest.mark.parametrize(
-        "name, norms, duals, checks", [("p1", 4.46, 2.43, 0.0), ("p3", 6.32, 3.31, 1.0)]
+        "name, norms, duals, checks, blend", [("p1", 4.46, 2.43, 0.0, False), ("p3", 5.32, 2.31, 0.0, True)]
     )
-    def test_private_kernel_calls_per_step(self, monkeypatch, name, norms, duals, checks):
+    def test_private_kernel_calls_per_step(self, monkeypatch, name, norms, duals, checks, blend):
         # ||.||_p and J run once per point a step touches; an unprojected
         # x_{n+1} takes them from the anchor blend.  The rest of the count is
-        # inner work: Newton's trial points and residuals.  For the
-        # blend, the dual norm of J x_n - J T x_n checks its input at every
-        # step.  Once per run, the first step's resolvent checks x_1 where it
-        # takes J x_1, its inverse duality map checks the anchor blend, and
-        # the final ||x - w|| and phi(w, x) check x - w, w and x
-        counts = {"_power_norm": 0, "_dual_map": 0, "check": 0}
+        # inner work: Newton's trial points and residuals.  Once per run, the
+        # first step's resolvent checks x_1 where it takes J x_1, its inverse
+        # duality map checks the anchor blend, a blend's first J gap checks
+        # J x_1 - J T x_1, and the final ||x - w|| and phi(w, x) check x - w,
+        # w and x.  The block pass is counted by rows: two residual norms per
+        # step, and per blend step one J_q for S x_n and one J gap norm (the
+        # first step's taken by the checked dual norm instead)
+        counts = {"_power_norm": 0, "_dual_map": 0, "check": 0, "norm_rows": 0, "dual_rows": 0}
         check = geometry.LpSpace.check
 
         def counted_check(self, x):
@@ -338,6 +347,13 @@ class TestCarriedDuals:
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name.startswith("halpernlp") and getattr(mod, kernel, None) is original:
                     monkeypatch.setattr(mod, kernel, counted)
+        for kernel, key in (("_row_power_norms", "norm_rows"), ("_row_dual_maps", "dual_rows")):
+
+            def rows_counted(rows, *args, _f=getattr(driver, kernel), _k=key):
+                counts[_k] += len(rows)
+                return _f(rows, *args)
+
+            monkeypatch.setattr(driver, kernel, rows_counted)
         config = CONFIG_DIR / f"{name}.yaml"
         cfg = parse_config(config).halpern
         counts.update(_power_norm=0, _dual_map=0, check=0)
@@ -345,7 +361,9 @@ class TestCarriedDuals:
         steps = trace.iterations
         assert counts["_power_norm"] / steps <= norms
         assert counts["_dual_map"] / steps <= duals
-        assert counts["check"] <= checks * steps + 5
+        assert counts["check"] <= checks * steps + (6 if blend else 5)
+        assert counts["norm_rows"] == 2 * steps + (steps - 1 if blend else 0)
+        assert counts["dual_rows"] == (steps if blend else 0)
 
 
 def shipped_config(name, **over):
@@ -361,10 +379,12 @@ def shipped_config(name, **over):
 
 
 class TestBlockResiduals:
-    """run_halpern forms the two residual columns in blocks of steps.  Each
-    row must equal, bit for bit, the per-step formula on the x_n, y_n and
-    S_n x_n of that step, whether the run crosses block boundaries or stops
-    inside a block for any reason."""
+    """run_halpern forms the two residual columns in blocks of steps, and for
+    a blend also S_n x_n from J S_n x_n and the J gap.  Each row must equal,
+    bit for bit, the per-step formula on the x_n, y_n and S_n x_n of that
+    step, with a blend's S_n x_n = J^{-1}(J S_n x_n) and its J gap
+    ||J x_n - J T_n x_n||_q, whether the run crosses block boundaries or
+    stops inside a block for any reason."""
 
     @pytest.mark.parametrize(
         "name, over, status, steps, whole_blocks",
@@ -373,8 +393,10 @@ class TestBlockResiduals:
             ("p1", {"budgets.max_iter": 500}, RunStatus.MAX_ITER, 500, 1),
             ("p3", {"debug.perturb_step": 1.0e200}, RunStatus.SLACK_VIOLATION, 5, 0),
             ("p1", {"space.p": 1.1}, RunStatus.INNER_SOLVER_FAILURE, 13, 0),
+            ("p3", {}, RunStatus.CONVERGED, 4279, 10),
+            ("p3", {"space.p": 1.5}, RunStatus.CONVERGED, 11341, 27),
         ],
-        ids=["converged", "max_iter", "slack_violation", "inner_failure"],
+        ids=["converged", "max_iter", "slack_violation", "inner_failure", "blend", "blend_p1.5"],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e200 push overflows
     def test_rows_equal_per_step_norms(self, monkeypatch, name, over, status, steps, whole_blocks):
@@ -382,19 +404,34 @@ class TestBlockResiduals:
         seen = []
         step = driver.halpern_step
 
+        sp = cfg.space
+        seen, j_gaps = [], []
+        step = driver.halpern_step
+
         def recording(cfg, n, x, prev=None):
             x_next, y, diag = step(cfg, n, x, prev=prev)
-            seen.append((x, y, diag["sx"]))
+            image = diag["image"]
+            if "j_diff" in diag:
+                assert image.x is None
+                seen.append((x, y, sp.inverse_duality_map(image.jx)))
+                j_gaps.append(sp.dual_norm(diag["j_diff"]))
+            else:
+                seen.append((x, y, image.x))
             return x_next, y, diag
 
         monkeypatch.setattr(driver, "halpern_step", recording)
         trace = run_halpern(cfg)
         assert (trace.status, trace.iterations) == (status, steps)
-        block = driver._RESIDUAL_BLOCK // cfg.space.dim
+        block = driver._RESIDUAL_BLOCK // sp.dim
         assert (steps // block, steps % block > 0) == (whole_blocks, True)
-        p = cfg.space.p
+        p = sp.p
         np.testing.assert_array_equal(trace.res_fixed_point, [_power_norm(x - sx, p) for x, _, sx in seen])
         np.testing.assert_array_equal(trace.res_y_vs_sx, [_power_norm(y - sx, p) for _, y, sx in seen])
+        if name == "p3":
+            assert len(j_gaps) == steps
+            np.testing.assert_array_equal(trace.j_gap, j_gaps)
+        else:
+            assert trace.j_gap is None and not j_gaps
 
 
 class TestRunProximalPoint:

@@ -297,7 +297,7 @@ def test_trace_rows_match_the_per_cell_formatter(tmp_path):
             for k, (attr, _, kind) in enumerate(TRACE_COLUMNS)}
     trace = IterationTrace(
         status=RunStatus.MAX_ITER, iterations=ints.size, final_x=np.zeros(2),
-        reference=np.zeros(2), uc_ft_gap=None, snapshots=[], boundedness_violation=0.0,
+        reference=np.zeros(2), uc_ft_gap=None, j_gap=None, snapshots=[], boundedness_violation=0.0,
         **cols,
     )
     write_trace_csv(trace, tmp_path / "t.csv")

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halpernlp import LpSpace
-from halpernlp.geometry import DimensionMismatchError, _power_norm, _row_power_norms
+from halpernlp.geometry import (
+    DimensionMismatchError, _dual_map, _power_norm, _row_dual_maps, _row_power_norms
+)
 
 from conftest import P_GRID
 
@@ -298,6 +300,30 @@ class TestRowPowerNorms:
             # about as many coordinates as a block of the driver's residuals
             stack = np.array(same * max(1, 2**13 // (dim * len(same))))
             assert _row_power_norms(stack, p) == [_power_norm(r, p) for r in stack], (p, dim)
+
+
+class TestRowDualMaps:
+    """A blend's S_n x_n is formed by run_halpern as J^{-1} of J S_n x_n, one
+    row-wise map per block of steps, which must equal _dual_map of each row
+    with its norm bit for bit, signed zeros and zero rows included."""
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0, 10.0])
+    def test_matches_dual_map(self, rng, p):
+        tiny = np.finfo(float).smallest_subnormal
+        for dim in (1, 3, 10, 200):
+            rows = [np.zeros(dim), np.full(dim, -0.0), np.full(dim, tiny), np.full(dim, -1e300)]
+            for _ in range(20):
+                x = rng.standard_normal(dim) * 10.0 ** rng.uniform(-300, 300)
+                x[rng.random(dim) < 0.2] = 0.0
+                x[rng.random(dim) < 0.2] = -0.0
+                rows.append(x)
+            for exponent in (p, p / (p - 1.0)):
+                # about as many coordinates as a block of the driver's steps
+                stack = np.array(rows * max(1, 2**12 // (dim * len(rows))))
+                norms = _row_power_norms(stack, exponent)
+                got = _row_dual_maps(stack, exponent, norms)
+                for row, n, g in zip(stack, norms, got):
+                    assert g.tobytes() == _dual_map(row, exponent, n).tobytes(), (exponent, row)
 
 
 class TestValidationAtBoundary:

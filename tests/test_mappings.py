@@ -94,7 +94,8 @@ class TestApply:
         applied = ApplyResult(tx, True, 0, jx=jx, normed=t, inner=t)
         diag = s.step_diagnostics(space, space.dual_norm(jx), applied)
         assert diag["uc_ft_gap"] == np.inf
-        assert np.isfinite(diag["j_gap"])
+        np.testing.assert_array_equal(diag["j_diff"], jx - t.jx)
+        assert np.isfinite(space.dual_norm(diag["j_diff"]))
 
     def test_blend_shares_fixed_points(self, space, quad_op):
         # F(S) = F(T) for beta < 1, both directions on the reference point

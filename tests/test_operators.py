@@ -16,7 +16,7 @@ from halpernlp import (
     MonotoneOperator,
 )
 from halpernlp.geometry import NormedPoint, _normed
-from halpernlp import operators, tolerances
+from halpernlp import geometry, operators, tolerances
 from halpernlp.operators import ResolventResult, duality_map_jacobian, monotonicity_gap, resolvent
 
 
@@ -417,10 +417,107 @@ def test_diagonal_p2_closed_form_matches_dense_solve(rng):
             np.testing.assert_allclose(res.point, dense, rtol=1e-14, atol=1e-14)
 
 
+def _masked_dual_map_jacobian(x, exponent, nx):
+    """geometry._dual_map_jacobian as it was: zeros masked at every exponent."""
+    if exponent == 2.0:
+        return np.ones(x.size), 0.0, np.zeros(x.size)
+    if nx == 0.0:
+        return np.full(x.size, 1e-8), 0.0, np.zeros(x.size)
+    ax = np.abs(x)
+    diag = np.where(ax > 0, ax ** (exponent - 2.0), 0.0)
+    u = x * diag
+    if exponent < 2.0:
+        diag = np.minimum(diag, 1e12)
+    d = (exponent - 1.0) * nx ** (2.0 - exponent) * diag
+    return d, (2.0 - exponent) * nx ** (2.0 - 2.0 * exponent), u
+
+
+def _eager_newton_direction(space, op, r, z, g, lam):
+    """operators._newton_direction as it was: r times the operator's diagonal
+    and the scan for dd <= 0 at every call, and the step as -g/dd minus the
+    rank-one correction, from the masked Jacobian of J."""
+    d, gamma, u = _masked_dual_map_jacobian(z.x, space.p, z.norm)
+    bdiag = op.jacobian_diagonal
+    if bdiag is None:
+        jac = gamma * np.outer(u, u) + np.diag(d) + r * op.jacobian(space, z.x)
+        if lam > 0.0:
+            jac = jac + lam * np.eye(space.dim)
+        return np.linalg.solve(jac, -g)
+    dd = d + r * bdiag
+    if lam > 0.0:
+        dd = dd + lam
+    if (dd <= 0.0).any():
+        raise np.linalg.LinAlgError("non-positive diagonal in the Newton matrix")
+    du = u / dd
+    denom = 1.0 + gamma * float(np.dot(u, du))
+    if denom <= 0.0:
+        raise np.linalg.LinAlgError("non-positive Sherman-Morrison denominator")
+    dg = -g / dd
+    return dg - (gamma * float(np.dot(u, dg)) / denom) * du
+
+
+def _direction_or_error(direction, *args):
+    try:
+        return direction(*args)
+    except np.linalg.LinAlgError as e:
+        return str(e)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit, except that any NaN equals any NaN."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN coordinates
+def test_trimmed_newton_direction_matches_the_eager_one(rng):
+    # the trimmed step must not move a bit: r B once per solve, no zero mask
+    # for p > 2, (gamma <u, g/dd> / denom) du - g/dd, and no dd <= 0 scan
+    # where r B > 0.  rb and rb_positive are what a solve passes; a zero in
+    # the diagonal (as in p4_line) keeps the scan, which must still raise
+    dim, raised = 5, 0
+    for p in (1.1, 1.5, 3.0, 6.0, 10.0):
+        sp = LpSpace(dim, p)
+        q = rng.uniform(0.1, 1.0, dim)
+        g0 = rng.standard_normal((dim, dim))
+        ops = [
+            GradientOfQuadratic(q=np.diag(q), c=rng.standard_normal(dim)),
+            GradientOfQuadratic(q=np.diag(np.where(np.arange(dim) == 2, 0.0, q)), c=np.zeros(dim)),
+            LinearMonotone(m=g0 @ g0.T + 0.1 * np.eye(dim), b=rng.standard_normal(dim)),
+        ]
+        points = [rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3) for _ in range(4)]
+        points += [np.array([0.0, -0.0, 1.5, -2.0, 0.25]), np.array([-0.0, 0.7, 0.0, 0.0, -3.0])]
+        points += [np.array([np.inf, 1.0, -0.0, 0.0, -2.0]), np.zeros(dim), np.full(dim, -0.0)]
+        for op, r in itertools.product(ops, (1.0, 0.5, 1e3)):
+            passed = []
+            direction = operators._newton_direction
+
+            def spy(*args):
+                passed.append(args[-2:])
+                return direction(*args)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(operators, "_newton_direction", spy)
+                resolvent(sp, op, r, np.linspace(-1.0, 2.0, dim))
+            rb, rb_positive = passed[0]
+            assert rb_positive == (op.jacobian_diagonal is not None and bool((op.jacobian_diagonal > 0).all()))
+            for x, lam in itertools.product(points, (0.0, 1e-8)):
+                z = NormedPoint(x, geometry._power_norm(x, p), geometry._dual_map(x, p))
+                g = rng.standard_normal(dim)
+                old = _direction_or_error(_eager_newton_direction, sp, op, r, z, g, lam)
+                new = _direction_or_error(direction, sp, op, r, z, g, lam, rb, rb_positive)
+                assert _same_bits(new, old), (p, r, lam, x, old, new)
+                raised += isinstance(new, str) and "diagonal" in new
+    assert raised > 0
+
+
 def _eager_newton_resolvent(space, op, r, x, jx, z0):
     """Newton as it was before ||g||_q became lazy: ||g||_q at every
     accepted iterate, the best so far kept as it goes, and a warm start
-    copied.  Returns the result and which exit the solve took."""
+    copied; and before its direction and line search were trimmed.  Returns
+    the result and which exit the solve took."""
     p = space.p
     if isinstance(z0, NormedPoint) and np.any(z0.x):
         z = NormedPoint(z0.x.copy(), z0.norm, z0.jx)
@@ -439,7 +536,7 @@ def _eager_newton_resolvent(space, op, r, x, jx, z0):
             exit = "stop"
             break
         try:
-            dz = operators._newton_direction(space, op, r, z, g, lam)
+            dz = _eager_newton_direction(space, op, r, z, g, lam)
         except np.linalg.LinAlgError:
             lam = max(2.0 * lam, 1e-8)
             continue
