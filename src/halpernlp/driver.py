@@ -189,7 +189,7 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     ||S_n x_n|| and J S_n x_n come from the mapping when it carries them
     (a resolvent's answer, or a blend's dual combination); otherwise the
     step computes them.  The diagnostics hold S_n x_n as the NormedPoint "image"
-    (x None for a blend) and a blend's J x_n - J T_n x_n as "j_diff".
+    (x None for a blend), a blend's J x_n - J T_n x_n as "j_diff", x_{n+1} - w as "next_minus_w".
     """
     space = cfg.space
     p = space.p
@@ -230,11 +230,8 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     else:
         phi_w_next, x_next_normed = _phi_w(cfg, x_next)
     slack_b = a * cfg.phi_w_u + _phi(w, cfg.reference_norm, image.jx, image.norm) - phi_w_next
-    slack_c = (
-        (1.0 - a) * phi_w_xn
-        + 2.0 * a * float(np.dot(y - w, cfg.dual_gap))
-        - phi_w_next
-    )
+    y_w = y - w
+    slack_c = (1.0 - a) * phi_w_xn + 2.0 * a * float(y_w.dot(cfg.dual_gap)) - phi_w_next
 
     diag = {
         "n": n,
@@ -242,6 +239,7 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
         "image": image,
         "warm": applied.warm,
         "next": x_next_normed,
+        "next_minus_w": y_w if x_next is y else x_next - w,
         "phi_w_x": phi_w_xn,
         "phi_w_next": phi_w_next,
         "slack_b": slack_b,
@@ -314,7 +312,7 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
         if not diag["inner_converged"]:
             status = RunStatus.INNER_SOLVER_FAILURE
             break
-        if _power_norm(x - w, space.p) <= cfg.stop_tol:
+        if _power_norm(diag["next_minus_w"], space.p) <= cfg.stop_tol:
             status = RunStatus.CONVERGED
             break
     if pending:

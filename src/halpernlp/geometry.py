@@ -19,7 +19,7 @@ arrays that were already checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -139,7 +139,7 @@ def _normed(x: np.ndarray, p: float) -> NormedPoint:
 
 def _phi(x: np.ndarray, nx: float, jy: np.ndarray, ny: float) -> float:
     """phi(x, y) from x, ||x||, Jy and ||y||."""
-    v = nx * nx - 2.0 * float(np.dot(x, jy)) + ny * ny
+    v = nx * nx - 2.0 * float(x.dot(jy)) + ny * ny
     # exact nonnegativity can be lost to rounding near x == y
     return max(v, 0.0)
 
@@ -159,6 +159,8 @@ class LpSpace:
 
     dim: int
     p: float
+    q: float = field(init=False, repr=False, compare=False)
+    """Conjugate exponent, 1/p + 1/q = 1; set from p once, at construction."""
 
     def __post_init__(self):
         if self.dim < 1:
@@ -167,11 +169,7 @@ class LpSpace:
             raise ValueError(
                 f"exponent must lie in [{P_MIN}, {P_MAX}], got {self.p}"
             )
-
-    @property
-    def q(self) -> float:
-        """Conjugate exponent, 1/p + 1/q = 1."""
-        return self.p / (self.p - 1.0)
+        object.__setattr__(self, "q", self.p / (self.p - 1.0))
 
     def check(self, x) -> np.ndarray:
         return _as_finite_array(x, self.dim)

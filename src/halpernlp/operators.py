@@ -18,14 +18,16 @@ keeps them with its accepted iterate as a ``NormedPoint``: the Jacobian of J
 takes ||z||_p from there, and ``ResolventResult.normed`` returns them with
 the answer.  A caller that has J x or a warm start's norm and J passes them
 in instead of having them recomputed.  Newton steers by ||g||_2 and stops on
-||g||_q <= tol for the residual g; since ||g||_q >= c ||g||_2 (c = 1 for
-q <= 2, dim^{1/q - 1/2} for q > 2), it takes ||g||_q only where c ||g||_2 is
-within the bound, and, on a solve that ends without meeting it, for its
-accepted iterates at the end, to return the one of least ||g||_q.
+||g||_q <= tol for the residual g.  By Hoelder c ||g||_2 <= ||g||_q <= c_hi ||g||_2,
+c = dim^{min(0, 1/q - 1/2)}, c_hi = dim^{max(0, 1/q - 1/2)}: a c_hi ||g||_2 clear of
+the bound certifies the stop, whose ||g||_q is formed when the residual is read;
+else ||g||_q is taken where c ||g||_2 is within the bound, and, on a solve that
+ends without meeting it, for its accepted iterates, to return the best.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,11 +57,11 @@ class MonotoneOperator:
     """Single-valued maximal monotone map of the space into its dual.
 
     ``evaluate`` and ``jacobian`` take a checked float array.
-    ``jacobian_diagonal`` is the diagonal of the Jacobian when that is a
-    constant diagonal matrix, and None otherwise.
+    ``jacobian_diagonal`` is the diagonal of the Jacobian when that is a constant
+    diagonal matrix, else None; ``_diagonal_min`` is its least entry, -inf if unknown.
     """
 
-    jacobian_diagonal = None
+    jacobian_diagonal, _diagonal_min = None, -math.inf
 
     def evaluate(self, space: LpSpace, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -100,6 +102,7 @@ class _AffineOperator(MonotoneOperator):
         diag = np.diagonal(bmat).copy()
         if np.array_equal(bmat, np.diag(diag)):
             object.__setattr__(self, "jacobian_diagonal", diag)
+            object.__setattr__(self, "_diagonal_min", float(diag.min()))
 
     def evaluate(self, space, x):
         if self.jacobian_diagonal is not None:
@@ -184,11 +187,23 @@ def duality_map_jacobian(space: LpSpace, x: np.ndarray, s: float | None = None):
 @dataclass
 class ResolventResult:
     point: np.ndarray
-    residual: float  # ||J(point) + r A(point) - J(x)||_q
+    residual: float  # ||J(point) + r A(point) - J(x)||_q; after a certified stop, formed on first read
     inner_iterations: int
     converged: bool
     jx: np.ndarray  # J(x), the right-hand side of J z + r A z = J x
     normed: NormedPoint  # the point with its norm and J, from the residual
+
+
+class _CertifiedResult(ResolventResult):
+    """Newton's certified stop, converged; ||g||_q is formed when first read."""
+
+    def __init__(self, space, g, k, jx, z):
+        self.point, self.inner_iterations, self.converged, self.jx, self.normed = z.x, k, True, jx, z
+        self._space_g = space, g
+
+    @functools.cached_property
+    def residual(self) -> float:
+        return _q_norm(*self._space_g)
 
 
 def resolvent(
@@ -241,11 +256,11 @@ def _newton_direction(space, op, r, z: NormedPoint, g, lam, rb, rb_positive) -> 
     if not rb_positive and (dd <= 0.0).any():
         raise np.linalg.LinAlgError("non-positive diagonal in the Newton matrix")
     du = u / dd
-    denom = 1.0 + gamma * float(np.dot(u, du))
+    denom = 1.0 + gamma * float(u.dot(du))
     if denom <= 0.0:
         raise np.linalg.LinAlgError("non-positive Sherman-Morrison denominator")
     gd = g / dd
-    return (gamma * float(np.dot(u, gd)) / denom) * du - gd
+    return (gamma * float(u.dot(gd)) / denom) * du - gd
 
 
 def _newton_start(space, x, z0) -> NormedPoint:
@@ -271,23 +286,30 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
         # r A z or J z overflowed: no Newton direction from here is finite
         return ResolventResult(z.x, math.inf, 0, False, jx, z)
     c = 1.0 if space.q <= 2.0 else space.dim ** (1.0 / space.q - 0.5)
+    # ||g||_q <= c_hi ||g||_2 (Hoelder): ||g||_2 <= sure certifies ||g||_q <= tol and convergence.  In
+    # 2^-53, relative, ||g||_2 is off by <= dim/2 + 2, ||g||_q by dim + ln(dim) + 5, c_hi by ln(dim) + 2,
+    # sure by 3: the margin 8 (dim + 8) exceeds their sum, and from dim 2^50 on none passes
+    c_hi = space.dim ** max(0.0, 1.0 / space.q - 0.5)
+    sure = min(_NEWTON_GRAD_TOL, tolerances.RESOLVENT_TOL) * (1.0 - (space.dim + 8) * 2.0**-50) / c_hi
     rb = op.jacobian_diagonal if r == 1.0 or op.jacobian_diagonal is None else r * op.jacobian_diagonal
-    rb_positive = rb is not None and rb.min() > 0.0
+    rb_positive = rb is not None and r * op._diagonal_min > 0.0  # = min(rb) > 0, as rounding is monotone
     lam = 0.0
     accepted_iterates = [(z, g)]  # the start, then each accepted iterate
     for k in range(1, _NEWTON_MAX_ITER + 1):
+        # every earlier iterate failed the stop test: one that passes is the best
+        if gnorm <= sure:
+            return _CertifiedResult(space, g, k, jx, z)
         # ||g||_q >= c ||g||_2; the margin covers rounding in both norms
         if c * gnorm <= _NEWTON_GRAD_TOL * (1.0 + 1e-12):
             gq = _q_norm(space, g)
             if gq <= _NEWTON_GRAD_TOL:
-                # every earlier iterate failed this test: this one is the best
                 return ResolventResult(z.x, gq, k, gq <= tolerances.RESOLVENT_TOL, jx, z)
         try:
             dz = _newton_direction(space, op, r, z, g, lam, rb, rb_positive)
         except np.linalg.LinAlgError:
             lam = max(2.0 * lam, 1e-8)
             continue
-        if not np.isfinite(dz).all():
+        if not np.logical_and.reduce(np.isfinite(dz)):
             # the Newton model overflowed; regularizing cannot make it finite
             break
         step, trial = 1.0, z.x + dz
@@ -316,10 +338,3 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
     i = -1 if gqs[-1] <= min(gqs) else gqs.index(min(gqs))
     z, gq = accepted_iterates[i][0], gqs[i]
     return ResolventResult(z.x, gq, k, gq <= tolerances.RESOLVENT_TOL, jx, z)
-
-
-def monotonicity_gap(space: LpSpace, op: MonotoneOperator, x, y) -> float:
-    """<x - y, Ax - Ay>; nonnegative for monotone operators."""
-    x = space.check(x)
-    y = space.check(y)
-    return float(np.dot(x - y, op.evaluate(space, x) - op.evaluate(space, y)))

@@ -181,7 +181,7 @@ class HalfSpace(ConvexSet):
         # the distance to the set is max(<a, x> - b, 0) / ||a||_2
         if tol < 0:
             raise ValueError("membership tolerance must be >= 0")
-        return float(self._check_dim(x) @ self.a) - self.b <= tol * self._norm_a
+        return float(self._check_dim(x).dot(self.a)) - self.b <= tol * self._norm_a
 
     def euclidean_project(self, x):
         x = self._check_dim(x, rows=True)

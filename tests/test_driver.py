@@ -317,7 +317,7 @@ class TestCarriedDuals:
             halpern_step(cfg, bad_step, x, prev=prev)
 
     @pytest.mark.parametrize(
-        "name, norms, duals, checks, blend", [("p1", 4.46, 2.43, 0.0, False), ("p3", 5.32, 2.31, 0.0, True)]
+        "name, norms, duals, checks, blend", [("p1", 3.48, 2.43, 0.0, False), ("p3", 4.34, 2.31, 0.0, True)]
     )
     def test_private_kernel_calls_per_step(self, monkeypatch, name, norms, duals, checks, blend):
         # ||.||_p and J run once per point a step touches; an unprojected

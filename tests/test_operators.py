@@ -17,7 +17,7 @@ from halpernlp import (
 )
 from halpernlp.geometry import NormedPoint, _normed
 from halpernlp import geometry, operators, tolerances
-from halpernlp.operators import ResolventResult, duality_map_jacobian, monotonicity_gap, resolvent
+from halpernlp.operators import ResolventResult, duality_map_jacobian, resolvent
 
 
 def sample_operators(dim=2):
@@ -68,7 +68,8 @@ class TestEvaluate:
             for op in sample_operators():
                 for _ in range(1000):
                     x, y = rng.standard_normal(2), rng.standard_normal(2)
-                    assert monotonicity_gap(sp, op, x, y) >= -1e-10
+                    # <x - y, Ax - Ay> >= 0 for a monotone A
+                    assert np.dot(x - y, op.evaluate(sp, x) - op.evaluate(sp, y)) >= -1e-10
 
 
 class TestZeroSet:
@@ -576,7 +577,7 @@ def test_lazy_stop_test_matches_eager_newton(monkeypatch):
     # overflows ||g||_2 but not ||g||_q and r = 1e300 at scale 1e10
     # overflows the start.
     rng = np.random.default_rng(14)
-    dim, exits, cases = 5, set(), 0
+    dim, exits, cases, certified = 5, set(), 0, 0
     for cap in (200, 2):
         monkeypatch.setattr(operators, "_NEWTON_MAX_ITER", cap)
         for p in (1.1, 1.5, 3.0, 6.0, 10.0):
@@ -603,8 +604,9 @@ def test_lazy_stop_test_matches_eager_newton(monkeypatch):
                     assert new.normed.jx.tobytes() == old.normed.jx.tobytes(), tag
                     exits.add(exit)
                     cases += 1
+                    certified += isinstance(new, operators._CertifiedResult)
     assert exits == {"stop", "cap", "stall", "non-finite", "overflow"}
-    assert cases == 126
+    assert cases == 126 and certified > 0
 
 
 def _assert_same_solve(sp, op, x, z0=None):
@@ -612,30 +614,50 @@ def _assert_same_solve(sp, op, x, z0=None):
     old, _ = _eager_newton_resolvent(sp, op, 1.0, x, jx, z0)
     new = resolvent(sp, op, 1.0, x, z0=z0, jx=jx)
     assert new.point.tobytes() == old.point.tobytes()
+    # read after the solve: a certified stop forms ||g||_q of its final g here
+    assert new.residual == operators._q_norm(sp, operators._residual(sp, op, 1.0, new.normed, jx))
     assert (new.residual, new.inner_iterations, new.converged) == (
         old.residual, old.inner_iterations, old.converged)
     return old
 
 
-@pytest.mark.parametrize("p, dim", [(1.1, 5), (1.5, 5), (3.0, 1), (6.0, 1)])
+@pytest.mark.parametrize("p, dim", [(1.1, 5), (1.5, 5), (3.0, 1), (6.0, 1), (6.0, 200), (10.0, 200)])
 def test_lazy_stop_test_at_the_tolerance(monkeypatch, p, dim):
-    # the tolerance is set to the ||g||_q of Newton's k-th iterate, and the
-    # solve must stop there: for q > 2 ||g||_q < ||g||_2, and in one
-    # dimension ||g||_q = c ||g||_2, where only the margin lets it pass
+    # the tolerance is set to the ||g||_q of the start or of Newton's k-th
+    # iterate, and the solve must stop there, and not there at the next float
+    # below it.  c ||g||_2 <= ||g||_q <= c_hi ||g||_2 holds with equality where
+    # the |g_i| are equal: in one dimension, and at the start of a sign-
+    # equivariant problem at dim 200 (q < 2, so c = 1 < c_hi).  There only the
+    # margins keep ||g||_q from being skipped or wrongly certified
     rng = np.random.default_rng(int(10 * p))
     sp = LpSpace(dim, p)
-    op = GradientOfQuadratic(q=np.diag(rng.uniform(0.1, 1.0, dim)), c=rng.standard_normal(dim))
-    x = rng.standard_normal(dim)
+    equal = dim == 200
+    if equal:
+        # residual (0.65 - c0) sign at the start, below RESOLVENT_TOL; J is linear
+        # on the ray through x, so Newton's first step reaches the rounding floor
+        sign = rng.choice([-1.0, 1.0], dim)
+        problems = [(GradientOfQuadratic(q=0.5 * np.eye(dim), c=(0.65 + j * 1e-11) * sign), 1.3 * sign)
+                    for j in range(1, 11)]
+    else:
+        problems = [(GradientOfQuadratic(q=np.diag(rng.uniform(0.1, 1.0, dim)), c=rng.standard_normal(dim)),
+                     rng.standard_normal(dim))]
     default_tol, default_cap = operators._NEWTON_GRAD_TOL, operators._NEWTON_MAX_ITER
-    for k in (1, 2, 3):
-        monkeypatch.setattr(operators, "_NEWTON_MAX_ITER", k)
-        tol = _assert_same_solve(sp, op, x).residual
-        if k > 1 and tol <= default_tol:
-            break  # the default tolerance stopped the solve before iterate k
-        monkeypatch.setattr(operators, "_NEWTON_MAX_ITER", default_cap)
-        monkeypatch.setattr(operators, "_NEWTON_GRAD_TOL", tol)
-        assert _assert_same_solve(sp, op, x).inner_iterations == k + 1
-        monkeypatch.setattr(operators, "_NEWTON_GRAD_TOL", default_tol)
+    for op, x in problems:
+        g = operators._residual(sp, op, 1.0, _normed(x, p), sp.duality_map(x))
+        assert not equal or (np.abs(g) == abs(g[0])).all()
+        tol = operators._q_norm(sp, g)
+        for k in (0, 1, 2, 3):
+            if k:
+                monkeypatch.setattr(operators, "_NEWTON_MAX_ITER", k)
+                tol = _assert_same_solve(sp, op, x).residual
+                if k > 1 and tol <= default_tol:
+                    break  # the default tolerance stopped the solve before iterate k
+                monkeypatch.setattr(operators, "_NEWTON_MAX_ITER", default_cap)
+            monkeypatch.setattr(operators, "_NEWTON_GRAD_TOL", tol)
+            assert _assert_same_solve(sp, op, x).inner_iterations == k + 1
+            monkeypatch.setattr(operators, "_NEWTON_GRAD_TOL", math.nextafter(tol, 0.0))
+            assert _assert_same_solve(sp, op, x).inner_iterations > k + 1
+            monkeypatch.setattr(operators, "_NEWTON_GRAD_TOL", default_tol)
 
 
 def test_lazy_fallback_returns_the_last_of_tied_iterates(monkeypatch, rng):
