@@ -43,7 +43,7 @@ from .geometry import (
 from . import tolerances
 from .mappings import MappingSequence
 from .schedules import Schedule, validate_anchor_weights
-from .sets import AffineSet, ConvexSet, generalized_projection
+from .sets import ConvexSet, generalized_projection
 
 
 class RunStatus(enum.Enum):
@@ -54,9 +54,9 @@ class RunStatus(enum.Enum):
 
 
 def reference_solution(space: LpSpace, fixed_set, u) -> np.ndarray:
-    """w = Q_F(u) for F a known point or affine set of fixed points."""
+    """w = Q_F(u) for F a known point or a ConvexSet of fixed points."""
     u = space.check(u)
-    if isinstance(fixed_set, AffineSet):
+    if isinstance(fixed_set, ConvexSet):
         res = generalized_projection(space, fixed_set, u)
         if not res.converged:
             raise RuntimeError(

@@ -12,9 +12,8 @@ conjugate exponent q = p / (p - 1).
 Input is checked once, where it enters the library: by the public
 ``LpSpace`` methods, ``operators.resolvent``, ``sets.generalized_projection``,
 ``driver.HalpernConfig`` and ``experiments.config_from_dict``.  The solver
-loops behind them (Newton, projected gradient, the scalar and multiplier
-solves of the sets, the driver step) run the private kernels below on
-arrays that were already checked.
+loops behind them (the Newton solves of the resolvent and the sets, the
+driver step) run the private kernels below on arrays already checked.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import LpSpace, NormedPoint, _dual_map, _normed, _power_norm
 from .operators import MonotoneOperator, resolvent
-from .sets import AffineSet, ConvexSet, generalized_projection
+from .sets import ConvexSet, generalized_projection
 from .schedules import Schedule, validate_blend_weights, validate_resolvent_radii
 
 
@@ -54,7 +54,7 @@ class Mapping:
         raise NotImplementedError
 
     def fixed_point_reference(self, space: LpSpace):
-        """A known fixed point, or an AffineSet of them."""
+        """A known fixed point, or a ConvexSet of them."""
         raise NotImplementedError
 
     def step_diagnostics(self, space: LpSpace, nx: float, applied: ApplyResult) -> dict:
@@ -91,8 +91,7 @@ class ProjectionMap(Mapping):
         return ApplyResult(res.point, res.converged, res.inner_iterations)
 
     def fixed_point_reference(self, space):
-        # any point of C is fixed; the Euclidean projection of 0 is canonical
-        return self.cset.euclidean_project(np.zeros(space.dim))
+        return self.cset  # every point of C is fixed
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,16 +220,3 @@ def srns_diagnostic(space: LpSpace, seq: MappingSequence, xs, p_hat) -> SrnsRepo
     flagged = bool(len(xs) > 0 and np.max(d) < 1e-6 and np.min(e) > 1e-3)
     return SrnsReport(d, e, flagged)
 
-
-def reference_points(space: LpSpace, ref, rng=None):
-    """Materialize a fixed-point reference as a list of concrete points
-    (five for an affine set)."""
-    if isinstance(ref, AffineSet):
-        pts = [ref.point.copy()]
-        if rng is None:
-            rng = np.random.default_rng(0)
-        k = ref.directions.shape[0]
-        for _ in range(4):
-            pts.append(ref.point + rng.standard_normal(k) @ ref.directions)
-        return pts
-    return [space.check(ref)]

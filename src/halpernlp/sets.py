@@ -9,20 +9,19 @@ variant solves it in its own way:
   splits the problem into coordinates (Alber 1996; Kamimura-Takahashi 2002);
 - ``AffineSet``: damped Newton on the coordinates of y in the direction
   space for p > 2, and on the multipliers of the complement for p < 2;
-- ``EuclideanBall``: projected gradient descent on
-  h(y) = ||y||_p^2 - 2<y, Jx> (phi minus the constant ||x||^2), with
-  Euclidean projection per step and Armijo backtracking.  Tests keep it as
-  the reference for the box and the affine set.
+- ``EuclideanBall``: Newton on its KKT system in (y, mu), with each
+  iterate kept on the sphere.
 
 The Newton solves take the Jacobian of J from ``geometry``, as the
-resolvent's Newton does.  The result carries the residual of the
-variational inequality <z - Q_C(x), Jx - J Q_C(x)> <= 0, probed at random
-points of C; without an rng the probes are drawn once per dimension.
+resolvent's Newton does, and return (y, iterations, stopped), stopped False
+when a solve ended short of its stopping test.  The result carries the VI
+residual max <z - Q_C(x), Jx - J Q_C(x)> over random probes z of C, drawn
+once per dimension without an rng; converged means stopped and VI_TOL met.
 ``euclidean_project`` maps a point, or each row of a stack of points.
 Membership within a tolerance is the Euclidean distance to that projection,
-except for ``HalfSpace``, which tests <a, x> - b <= tol ||a||_2 in closed
-form: no projection, and no positive excess lost to the projection's
-rounding.
+except for ``HalfSpace`` and ``EuclideanBall``, which test
+<a, x> - b <= tol ||a||_2 and ||x - c||_2 - R <= tol in closed form: no
+projection, and no positive excess lost to the projection's rounding.
 """
 
 from __future__ import annotations
@@ -33,13 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    DimensionMismatchError, LpSpace, _dual_map, _dual_map_jacobian, _normed, _power_norm
-)
+from .geometry import DimensionMismatchError, LpSpace, _dual_map, _dual_map_jacobian, _normed
 from . import tolerances
 
-_PGD_GRAD_TOL = 1e-9
-_PGD_MAX_ITER = 10_000
 _ARMIJO_C = 1e-4
 _VI_PROBES = 100
 _BOX_MAX_ITER = 100
@@ -82,55 +77,6 @@ class ConvexSet:
             raise ValueError("membership tolerance must be >= 0")
         x = self._check_dim(x)
         return float(np.linalg.norm(x - self.euclidean_project(x))) <= tol
-
-    def minimize_phi(self, space: LpSpace, x: np.ndarray):
-        """(argmin of phi(., x) over the set, iterations) for a checked x
-        outside it."""
-        p = space.p
-        jx = _dual_map(x, p)
-
-        def h(y, ny):  # phi(y, x) - ||x||^2, given ny = ||y||
-            return ny ** 2 - 2.0 * float(np.dot(y, jx))
-
-        y = self.euclidean_project(x)  # seed inside C, away from the origin
-        hy = h(y, space.norm(y))  # the public norm checks the seed once
-        # gradients scale with x, so the stationarity cutoff is scale-relative
-        grad_tol = _PGD_GRAD_TOL * max(1.0, float(np.linalg.norm(jx)))
-        prev_y = None
-        prev_grad = None
-        stuck = False  # the last step left y bit-for-bit unchanged
-        for k in range(1, _PGD_MAX_ITER + 1):
-            grad = 2.0 * (_dual_map(y, p) - jx)
-            if float(np.linalg.norm(y - self.euclidean_project(y - grad))) <= grad_tol:
-                return y, k - 1
-            # Barzilai-Borwein trial step, backtracked by Armijo halving
-            step = 1.0
-            if prev_y is not None:
-                dy = y - prev_y
-                dg = grad - prev_grad
-                denom = float(np.dot(dy, dg))
-                if denom > 0.0:
-                    step = min(max(float(np.dot(dy, dy)) / denom, 1e-12), 1e8)
-            prev_y, prev_grad = y, grad
-            while True:
-                cand = self.euclidean_project(y - step * grad)
-                hc = h(cand, _power_norm(cand, p))
-                if hc <= hy + _ARMIJO_C * float(np.dot(grad, cand - y)):
-                    break
-                step *= 0.5
-                if step < 1e-18:
-                    # no descent at float precision: stationary for our purposes
-                    return y, k
-            if np.array_equal(cand, y):
-                if stuck:
-                    # this step began at the default trial step (dy = 0), so
-                    # every later step would repeat it exactly
-                    return y, k
-                stuck = True
-            else:
-                stuck = False
-            y, hy = cand, hc
-        return y, _PGD_MAX_ITER
 
     def vi_residual(self, space: LpSpace, x, proj, rng) -> float:
         """max over probe points z in C of <z - proj, Jx - J(proj)>, for a
@@ -210,7 +156,7 @@ class HalfSpace(ConvexSet):
             if m <= 0.0:
                 hi, y_hi = t, y
                 if -m <= 4.0 * _EPS * (abs(b) + float(np.abs(y) @ abs_a)):
-                    return y, k  # m is at its rounding level: the root is found
+                    return y, k, True  # m is at its rounding level: the root is found
             elif m > 0.0:
                 lo = t
             else:
@@ -230,8 +176,8 @@ class HalfSpace(ConvexSet):
             else:
                 t, dt = 0.5 * (lo + hi), 0.5 * (hi - lo)
                 if not lo < t < hi:
-                    break  # lo and hi are adjacent floats
-        return (y if y_hi is None else y_hi), k
+                    return y_hi, k, True  # lo and hi are adjacent floats
+        return (y if y_hi is None else y_hi), k, False
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +218,7 @@ class Box(ConvexSet):
         p = space.p
         e = (p - 2.0) / (p - 1.0)
         if not np.any(x):
-            return self.euclidean_project(x), 0  # y(s) = clip(0) for every s
+            return self.euclidean_project(x), 0, True  # y(s) = clip(0) for every s
         sx = np.sign(x)
         t = 0.0
         lo_t, hi_t = -math.inf, math.inf  # g > 0 below the root, g < 0 above
@@ -287,10 +233,10 @@ class Box(ConvexSet):
                 ly = np.where(free, lz, np.log(np.abs(y)))
                 lny, w = _log_power_norm(ly, p)
                 if lny == -math.inf:
-                    return y, k  # every coordinate clips to 0, whatever s is
+                    return y, k, True  # every coordinate clips to 0, whatever s is
                 g = lny - lnx - t
                 if abs(g) <= _BOX_G_TOL * (1.0 + abs(lny) + abs(lnx) + abs(t)):
-                    return y, k  # g is at its rounding level: the root is found
+                    return y, k, True  # g is at its rounding level: the root is found
                 if g > 0.0:
                     lo_t = t
                 else:
@@ -299,8 +245,8 @@ class Box(ConvexSet):
                 if not lo_t < t < hi_t:  # Newton left the bracket: bisect it
                     t = 0.5 * (lo_t + hi_t)
                     if not lo_t < t < hi_t:
-                        return y, k  # the bracket can no longer shrink
-        return y, _BOX_MAX_ITER
+                        return y, k, True  # the bracket can no longer shrink
+        return y, _BOX_MAX_ITER, False
 
 
 def _log_power_norm(la: np.ndarray, p: float):
@@ -340,6 +286,73 @@ class EuclideanBall(ConvexSet):
         if nd <= self.radius:
             return x.copy()
         return self.center + (self.radius / nd) * d
+
+    def contains(self, x, tol: float = tolerances.MEMBERSHIP_TOL) -> bool:
+        # the distance to the ball is max(||x - c||_2 - R, 0)
+        if tol < 0:
+            raise ValueError("membership tolerance must be >= 0")
+        return float(np.linalg.norm(self._check_dim(x) - self.center)) - self.radius <= tol
+
+    def minimize_phi(self, space, x):
+        """x is outside, so Q_C(x) is on the sphere and solves the KKT system
+        F(y, mu) = [Jy - Jx + mu r; (||r||_2^2 - R^2)/2] = 0, r = y - c,
+        mu >= 0.  Newton from the Euclidean projection and least-squares mu:
+        with M = diag(d + mu) + gamma u u' from the Jacobian of J at
+        y/||y||_p, a step solves M a = F_1 and M b = r by Sherman-Morrison and
+        moves to y - t a - nu b, max(0, mu + nu), for nu the root of F_2 there
+        nearest 0.  So iterates stay on the sphere, whose curvature would swamp
+        ||F|| when a step moves far where J is flat (p > 2, mu near 0).  t
+        halves until ||F_1||_2 decreases; the solve stops when F is at its
+        rounding level.  A zero of d + mu is regularized by lam I, doubled
+        from 1e-8, as in the resolvent's Newton.
+        """
+        p, c, rad2 = space.p, self.center, self.radius * self.radius
+        jx = _dual_map(x, p)
+        tol = 4.0 * max(p, 2.0) * _EPS  # each (J y)_i is rounded to about p eps of its size
+        n_jx, n_c = math.sqrt(jx.dot(jx)), math.sqrt(c.dot(c))
+        y, ny, jy = _normed(self.euclidean_project(x), p)
+        r = y - c
+        mu = max(0.0, float(r.dot(jx - jy)) / float(r.dot(r)))
+        f1 = jy - jx + mu * r
+        fn, lam = math.sqrt(f1.dot(f1)), 0.0
+        for k in range(_NEWTON_MAX_ITER + 1):
+            rr, n_y = float(r.dot(r)), math.sqrt(y.dot(y))
+            if (fn <= tol * (math.sqrt(jy.dot(jy)) + n_jx + mu * (n_y + n_c))
+                    and abs(rr - rad2) <= 2.0 * tol * (rad2 + math.sqrt(rr) * (n_y + n_c))):
+                return y, k, True
+            if k == _NEWTON_MAX_ITER or not fn < math.inf:
+                break
+            d, gamma, u = _dual_map_jacobian(y / ny, p, 1.0)
+            dd = d + (mu + lam)  # d >= 0, so only mu + lam = 0 can leave a zero
+            du = u / dd
+            denom = 1.0 + gamma * float(u.dot(du))
+            if not (denom > 0.0 and (mu + lam > 0.0 or (dd > 0.0).all())):
+                lam = max(2.0 * lam, 1e-8)
+                continue
+            fd, rd = f1 / dd, r / dd
+            a = fd - (gamma * float(u.dot(fd)) / denom) * du
+            b = rd - (gamma * float(u.dot(rd)) / denom) * du
+            bb, t = float(b.dot(b)), 1.0
+            for _ in range(60):
+                ta = t * a
+                ra = r - ta
+                half_b, cq = float(b.dot(ra)), float(ra.dot(ra)) - rad2
+                disc = half_b * half_b - bb * cq
+                if disc >= 0.0:  # else this line misses the sphere
+                    root = half_b + math.copysign(math.sqrt(disc), half_b)
+                    nu = cq / root if root else 0.0
+                    cy, cny, cjy = _normed(y - ta - nu * b, p)
+                    cr, cmu = cy - c, max(0.0, mu + nu)
+                    cf1 = cjy - jx + cmu * cr
+                    cfn = math.sqrt(cf1.dot(cf1))
+                    if cfn < fn * (1.0 - 1e-4 * t):
+                        break
+                t *= 0.5
+            else:
+                break  # no decrease at float precision
+            y, ny, jy, r, mu, f1, fn = cy, cny, cjy, cr, cmu, cf1, cfn
+            lam *= 0.25
+        return y, k, False
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,13 +404,14 @@ class AffineSet(ConvexSet):
         from mu = 0.
         """
         jx = _dual_map(x, space.p)
-        if space.p > 2.0:  # (z, k): the answer is z
-            return _newton_in_span(self.euclidean_project(x), self._basis, space.p, jx)[::2]
-        return _newton_in_span(jx, self._complement, space.q, self.point)[1:]  # (J_q z, k)
+        if space.p > 2.0:  # the answer is z
+            z, _, k, stopped = _newton_in_span(self.euclidean_project(x), self._basis, space.p, jx)
+            return z, k, stopped
+        return _newton_in_span(jx, self._complement, space.q, self.point)[1:]  # J_q z is the answer
 
 
 def _newton_in_span(z, rows, e, s):
-    """(z*, J_e z*, iterations) for z* the minimizer of
+    """(z*, J_e z*, iterations, stopped) for z* the minimizer of
     f(z) = ||z||_e^2 / 2 - <z, s> over z + span(rows), rows orthonormal.
 
     Damped Newton on the coordinates theta of z + rows' theta: the gradient
@@ -411,7 +425,7 @@ def _newton_in_span(z, rows, e, s):
     for k in range(1, _NEWTON_MAX_ITER + 1):
         g = rows @ (jz - s)
         if (np.abs(g) <= grad_eps * (np.abs(rows) @ (np.abs(jz) + np.abs(s)))).all():
-            return z, jz, k - 1  # also when there are no rows
+            return z, jz, k - 1, True  # also when there are no rows
         d, gamma, u = _dual_map_jacobian(z / (nz or 1.0), e, nz and 1.0)  # as in HalfSpace
         ru = rows @ u
         try:
@@ -420,7 +434,7 @@ def _newton_in_span(z, rows, e, s):
             dtheta = -g  # a singular model: fall back to the gradient
         slope = float(np.dot(g, dtheta))  # df along dtheta, < 0
         if not slope < 0.0:
-            return z, jz, k  # a non-finite model, or no descent left
+            return z, jz, k, True  # a non-finite model, or no descent left
         dz = dtheta @ rows
         # near the minimizer a step moves f by less than f's rounding error
         f_noise = 4.0 * _EPS * (0.5 * nz * nz + abs(float(np.dot(z, s))))
@@ -430,9 +444,9 @@ def _newton_in_span(z, rows, e, s):
             if fc <= fz + _ARMIJO_C * step * slope + f_noise:
                 break
         else:
-            return z, jz, k  # no descent at float precision
+            return z, jz, k, True  # no descent at float precision
         z, nz, jz, fz = cand, nc, jc, fc
-    return z, jz, _NEWTON_MAX_ITER
+    return z, jz, _NEWTON_MAX_ITER, False
 
 
 @dataclass
@@ -449,11 +463,11 @@ def generalized_projection(
     """Q_C(x), the unique minimizer of phi(y, x) over C."""
     x = space.check(x)
     if cset.contains(x, 0.0):
-        point, iters = x.copy(), 0
+        point, iters, stopped = x.copy(), 0, True
     elif space.p == 2.0:
-        point, iters = cset.euclidean_project(x), 0
+        point, iters, stopped = cset.euclidean_project(x), 0, True
     else:
-        point, iters = cset.minimize_phi(space, x)
+        point, iters, stopped = cset.minimize_phi(space, x)
 
     residual = cset.vi_residual(space, x, point, rng)
-    return ProjectionResult(point, residual, iters, residual <= tolerances.VI_TOL)
+    return ProjectionResult(point, residual, iters, stopped and residual <= tolerances.VI_TOL)

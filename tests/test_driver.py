@@ -12,17 +12,20 @@ from halpernlp import (
     ConstantSchedule,
     DriftSchedule,
     DualityResidual,
+    EuclideanBall,
     GradientOfQuadratic,
     HalfSpace,
     HalpernConfig,
     LinearMonotone,
     LpSpace,
     PowerSchedule,
+    ProjectionMap,
     ResolventMap,
     ResolventSequence,
     RunStatus,
     ScheduleValidationError,
     WholeSpace,
+    generalized_projection,
     halpern_step,
     reference_solution,
     run_halpern,
@@ -90,6 +93,21 @@ class TestReferenceSolution:
         )
         assert sp.lyapunov(w, u) <= res.fun + 1e-9
         assert abs(w[1] - res.x) <= 1e-4
+
+    def test_projection_map_measures_against_q_c_of_the_anchor(self):
+        # every point of C is fixed by T = Q_C, so the run's limit is Q_C(u);
+        # the Euclidean projection of 0 used to stand in for it
+        sp = LpSpace(10, 3.0)
+        ball = EuclideanBall(center=0.1 * np.ones(10), radius=0.8)
+        rng = np.random.default_rng(11)
+        u = 2.0 * rng.standard_normal(10)
+        seq = BlendSequence(inner=ProjectionMap(cset=ball), beta_schedule=ConstantSchedule(0.5))
+        cfg = HalpernConfig(
+            space=sp, anchor=u, start=ball.euclidean_project(rng.standard_normal(10)),
+            constraint=WholeSpace(), sequence=seq, alpha=PowerSchedule(),
+        )
+        np.testing.assert_array_equal(cfg.reference, generalized_projection(sp, ball, u).point)
+        assert not ball.contains(u, 0.0)
 
 
 class TestHalpernStep:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from halpernlp import (
+    AffineSet,
     AlternatingSchedule,
     BlendMap,
     BlendSequence,
@@ -26,7 +27,7 @@ from halpernlp import (
 )
 from halpernlp import schedules
 from halpernlp.geometry import NormedPoint
-from halpernlp.mappings import ApplyResult, reference_points
+from halpernlp.mappings import ApplyResult
 from halpernlp.operators import resolvent
 from halpernlp.schedules import (
     Schedule,
@@ -34,6 +35,20 @@ from halpernlp.schedules import (
     validate_blend_weights,
     validate_resolvent_radii,
 )
+
+
+def reference_points(space: LpSpace, ref, rng=None):
+    """Materialize a fixed-point reference as a list of concrete points
+    (five for an affine set)."""
+    if isinstance(ref, AffineSet):
+        pts = [ref.point.copy()]
+        if rng is None:
+            rng = np.random.default_rng(0)
+        k = ref.directions.shape[0]
+        for _ in range(4):
+            pts.append(ref.point + rng.standard_normal(k) @ ref.directions)
+        return pts
+    return [space.check(ref)]
 
 
 @pytest.fixture

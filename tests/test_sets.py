@@ -12,10 +12,69 @@ from halpernlp import (
     WholeSpace,
     generalized_projection,
 )
-from halpernlp.geometry import DimensionMismatchError, _dual_map
-from halpernlp.sets import ConvexSet, _default_probes
+from halpernlp import sets, tolerances
+from halpernlp.geometry import DimensionMismatchError, _dual_map, _power_norm
+from halpernlp.sets import _ARMIJO_C, ConvexSet, _default_probes
 
 EPS = np.finfo(float).eps
+
+# Projected gradient descent on h(y) = ||y||_p^2 - 2<y, Jx> (phi minus the
+# constant ||x||^2): a Barzilai-Borwein step from the Euclidean projection,
+# projected back onto the set and backtracked by Armijo halving.  The oracle
+# for the Newton solves of the box, the affine set and the ball.  Its first
+# argument, self, is the set.
+_PGD_GRAD_TOL = 1e-9
+_PGD_MAX_ITER = 10_000
+
+
+def projected_gradient(self, space: LpSpace, x: np.ndarray):
+    """(argmin of phi(., x) over the set, iterations) for a checked x
+    outside it."""
+    p = space.p
+    jx = _dual_map(x, p)
+
+    def h(y, ny):  # phi(y, x) - ||x||^2, given ny = ||y||
+        return ny ** 2 - 2.0 * float(np.dot(y, jx))
+
+    y = self.euclidean_project(x)  # seed inside C, away from the origin
+    hy = h(y, space.norm(y))  # the public norm checks the seed once
+    # gradients scale with x, so the stationarity cutoff is scale-relative
+    grad_tol = _PGD_GRAD_TOL * max(1.0, float(np.linalg.norm(jx)))
+    prev_y = None
+    prev_grad = None
+    stuck = False  # the last step left y bit-for-bit unchanged
+    for k in range(1, _PGD_MAX_ITER + 1):
+        grad = 2.0 * (_dual_map(y, p) - jx)
+        if float(np.linalg.norm(y - self.euclidean_project(y - grad))) <= grad_tol:
+            return y, k - 1
+        # Barzilai-Borwein trial step, backtracked by Armijo halving
+        step = 1.0
+        if prev_y is not None:
+            dy = y - prev_y
+            dg = grad - prev_grad
+            denom = float(np.dot(dy, dg))
+            if denom > 0.0:
+                step = min(max(float(np.dot(dy, dy)) / denom, 1e-12), 1e8)
+        prev_y, prev_grad = y, grad
+        while True:
+            cand = self.euclidean_project(y - step * grad)
+            hc = h(cand, _power_norm(cand, p))
+            if hc <= hy + _ARMIJO_C * float(np.dot(grad, cand - y)):
+                break
+            step *= 0.5
+            if step < 1e-18:
+                # no descent at float precision: stationary for our purposes
+                return y, k
+        if np.array_equal(cand, y):
+            if stuck:
+                # this step began at the default trial step (dy = 0), so
+                # every later step would repeat it exactly
+                return y, k
+            stuck = True
+        else:
+            stuck = False
+        y, hy = cand, hc
+    return y, _PGD_MAX_ITER
 
 
 def sample_sets(dim=3):
@@ -175,7 +234,8 @@ def halfspace_vi_gap(space, hs, x, y):
 
 
 class TestHalfSpaceMembership:
-    """HalfSpace.contains tests <a, x> - b <= tol ||a||_2 in closed form."""
+    """HalfSpace.contains tests <a, x> - b <= tol ||a||_2 in closed form,
+    and EuclideanBall.contains tests ||x - c||_2 - R <= tol."""
 
     def test_agrees_with_projection_distance_away_from_the_boundary(self, rng):
         for _ in range(300):
@@ -203,6 +263,35 @@ class TestHalfSpaceMembership:
                 step *= 2.0
             assert not hs.contains(x, 0.0), x
             generic_inside += ConvexSet.contains(hs, x, 0.0)
+        assert generic_inside > 0
+
+    def test_ball_agrees_with_projection_distance_away_from_the_sphere(self, rng):
+        for _ in range(300):
+            dim = int(rng.integers(1, 12))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            ball = EuclideanBall(center=scale * rng.standard_normal(dim), radius=scale * rng.uniform(0.1, 2.0))
+            x = ball.center + 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(dim)
+            dist = max(float(np.linalg.norm(x - ball.center)) - ball.radius, 0.0)
+            for tol in (0.0, 1e-7, 1e-3, 1.0):
+                if abs(dist - tol) > 1e-9 * (1.0 + np.abs(x).max()):
+                    assert ball.contains(x, tol) == ConvexSet.contains(ball, x, tol), (x, tol)
+
+    def test_ball_every_positive_excess_is_outside_at_zero_tolerance(self, rng):
+        # as for the half-space: walk a point of the sphere outward along its
+        # largest coordinate of x - c until ||x - c||_2 - R > 0
+        generic_inside = 0
+        for _ in range(1000):
+            dim = int(rng.integers(1, 12))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            ball = EuclideanBall(center=scale * rng.standard_normal(dim), radius=scale * rng.uniform(0.1, 2.0))
+            x = ball.euclidean_project(ball.center + 10.0 * scale * rng.standard_normal(dim))
+            i = int(np.argmax(np.abs(x - ball.center)))
+            step = np.spacing(max(abs(x[i]), 1e-300))
+            while float(np.linalg.norm(x - ball.center)) - ball.radius <= 0.0:
+                x[i] += np.copysign(step, x[i] - ball.center[i])
+                step *= 2.0
+            assert not ball.contains(x, 0.0), x
+            generic_inside += ConvexSet.contains(ball, x, 0.0)
         assert generic_inside > 0
 
     def test_rejects_negative_tolerance(self):
@@ -253,6 +342,26 @@ def phi_objective(space, y, x):
     return space.norm(y) ** 2 - 2.0 * float(np.dot(y, space.duality_map(x)))
 
 
+def calls_workload_inputs():
+    """(directions, [(variant, p, scale, inputs)]): the affine set's
+    directions and the inputs of each cell of the benchmark's calls
+    workload, drawn the same way.  Variants 0-3 are the half-space, the box,
+    the ball and the affine set; 4-7 are the operators."""
+    d = 10
+    base = np.random.default_rng(1)
+    directions = base.standard_normal((2, d))
+    base.standard_normal((d, d))
+    base.standard_normal((d, d))
+    for _ in range(4):
+        base.standard_normal(d)
+    cells = []
+    for p in (1.5, 2.0, 3.0, 6.0):
+        for scale in (1.0, 1e3):
+            for variant in range(8):
+                cells.append((variant, p, scale, base.standard_normal((2, d)) * scale))
+    return directions, cells
+
+
 class TestAffineNewton:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0, 10.0])
@@ -265,35 +374,25 @@ class TestAffineNewton:
                 directions=rng.standard_normal((int(rng.integers(1, 5)), 10)),
             )
             x = 2.0 * scale * rng.standard_normal(10)
-            y, iters = aff.minimize_phi(sp, x)
-            oracle, _ = ConvexSet.minimize_phi(aff, sp, x)
+            y, iters, stopped = aff.minimize_phi(sp, x)
+            oracle, _ = projected_gradient(aff, sp, x)
             n2 = float(np.dot(x, x))
-            assert iters <= 20
+            assert stopped and iters <= 20
             assert aff.contains(y, 1e-12 * scale)
             assert phi_objective(sp, y, x) <= phi_objective(sp, oracle, x) + 1e-13 * n2
 
     def test_benchmark_census_inputs_pass(self):
-        # the affine cells at scale 1e3 that projected gradient failed: the
-        # inputs of the benchmark's calls workload, drawn the same way
-        d = 10
-        base = np.random.default_rng(1)
-        directions = base.standard_normal((2, d))
-        base.standard_normal((d, d))
-        base.standard_normal((d, d))
-        for _ in range(4):
-            base.standard_normal(d)
-        aff = AffineSet(point=np.zeros(d), directions=directions)
+        # the affine cells at scale 1e3 that projected gradient failed
+        directions, cells = calls_workload_inputs()
+        aff = AffineSet(point=np.zeros(10), directions=directions)
         passed = 0
-        for p in (1.5, 2.0, 3.0, 6.0):
-            for scale in (1.0, 1e3):
-                for variant in range(8):  # the four sets, then the four operators
-                    inputs = base.standard_normal((2, d)) * scale
-                    if variant != 3 or scale != 1e3 or p == 2.0:
-                        continue
-                    for x in inputs:
-                        res = generalized_projection(LpSpace(d, p), aff, x)
-                        assert res.inner_iterations <= 8
-                        passed += res.converged
+        for variant, p, scale, inputs in cells:
+            if variant != 3 or scale != 1e3 or p == 2.0:
+                continue
+            for x in inputs:
+                res = generalized_projection(LpSpace(10, p), aff, x)
+                assert res.inner_iterations <= 8
+                passed += res.converged
         assert passed == 6
 
     def test_singleton(self):
@@ -302,6 +401,83 @@ class TestAffineNewton:
             res = generalized_projection(LpSpace(3, p), single, np.array([3.0, 1.0, -1.0]))
             np.testing.assert_allclose(res.point, single.point, rtol=1e-15)
             assert res.converged
+
+
+def ball_vi_gap(space, ball, x, y):
+    """max of <z - y, Jx - Jy> over the z of the ball, in closed form:
+    <c - y, g> + R ||g||_2 for g = Jx - Jy."""
+    g = space.duality_map(x) - space.duality_map(y)
+    return float(np.dot(ball.center - y, g)) + ball.radius * float(np.linalg.norm(g))
+
+
+def sphere_points(ball, rng, excess, n):
+    """n points at distance R + excess from the center, in random directions."""
+    v = rng.standard_normal((n, ball.dim))
+    return ball.center + (ball.radius + excess) * v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+class TestBallNewton:
+    # the ball of the benchmark's calls workload; criterion 3 uses it at dim 6
+    BALL = EuclideanBall(center=0.1 * np.ones(10), radius=0.8)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0, 10.0])
+    def test_no_worse_than_projected_gradient(self, p, scale):
+        rng = np.random.default_rng(int(100 * p))
+        sp, ball = LpSpace(10, p), self.BALL
+        for _ in range(3):
+            x = 2.0 * scale * rng.standard_normal(10)
+            y, iters, stopped = ball.minimize_phi(sp, x)
+            oracle, _ = projected_gradient(ball, sp, x)
+            n2 = float(np.dot(x, x))
+            assert stopped and iters <= 12
+            assert ball.contains(y, 4 * EPS * ball.radius)
+            assert ball_vi_gap(sp, ball, x, y) <= 1e-13 * n2
+            assert phi_objective(sp, y, x) <= phi_objective(sp, oracle, x) + 1e-13 * n2
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 6.0, 10.0])
+    def test_inputs_just_outside_the_sphere(self, p):
+        # where projected gradient ran to its 10,000-iteration cap and still
+        # reported converged=True.  At p = 10, where J is nearly flat in the
+        # small coordinates and mu is near 0, converged must mean the stop
+        # test was met
+        rng = np.random.default_rng(int(10 * p))
+        sp, ball = LpSpace(10, p), self.BALL
+        for excess in (0.1, 1e-3, 1e-6):
+            for x in sphere_points(ball, rng, excess, 4):
+                y, iters, stopped = ball.minimize_phi(sp, x)
+                res = generalized_projection(sp, ball, x)
+                np.testing.assert_array_equal(res.point, y)
+                assert res.converged == (stopped and res.vi_residual <= tolerances.VI_TOL)
+                if p < 10.0:
+                    assert res.converged and iters <= 15
+                if stopped:
+                    assert ball_vi_gap(sp, ball, x, y) <= 1e-13 * max(1.0, float(np.dot(x, x)))
+
+    def test_stopping_short_of_the_test_is_not_converged(self, monkeypatch):
+        # one Newton step from the Euclidean projection leaves the VI probes
+        # passing but F above its rounding level
+        sp, ball = LpSpace(10, 3.0), self.BALL
+        x = sphere_points(ball, np.random.default_rng(4), 1e-3, 1)[0]
+        monkeypatch.setattr(sets, "_NEWTON_MAX_ITER", 1)
+        y, iters, stopped = ball.minimize_phi(sp, x)
+        assert iters == 1 and not stopped
+        res = generalized_projection(sp, ball, x)
+        assert res.vi_residual <= tolerances.VI_TOL
+        assert not res.converged
+
+    def test_benchmark_calls_inputs_pass(self):
+        _, cells = calls_workload_inputs()
+        ball, calls = self.BALL, 0
+        for variant, p, scale, inputs in cells:
+            if variant != 2 or p == 2.0:
+                continue
+            for x in inputs:
+                res = generalized_projection(LpSpace(10, p), ball, x)
+                assert res.converged and 1 <= res.inner_iterations <= 8
+                assert ball.contains(res.point, 4 * EPS * ball.radius)
+                calls += 1
+        assert calls == 12
 
 
 class TestGeneralizedProjection:
@@ -403,7 +579,7 @@ class TestGeneralizedProjection:
             -0.8939044058324345, 0.9432871615609005, -2.2068367678240377,
             3.4794647225265805, 0.6281174661307066, -3.241828876643742,
         ])
-        y, iters = ConvexSet.minimize_phi(box, sp, x)
+        y, iters = projected_gradient(box, sp, x)
         assert iters < 100
         assert box.vi_residual(sp, x, y, None) <= 1e-6
 
@@ -460,9 +636,9 @@ class TestBoxScalarSolve:
             x = 2.0 * scale * rng.standard_normal(6)
             if box.contains(x, 0.0):
                 continue
-            y, iters = box.minimize_phi(sp, x)
+            y, iters, stopped = box.minimize_phi(sp, x)
             n2 = max(1.0, float(np.linalg.norm(x)) ** 2)
-            assert iters <= 12
+            assert stopped and iters <= 12
             assert box.contains(y, 0.0)
             assert box_vi_gap(sp, box, x, y) <= 1e-12 * n2
             # at p = 10 the objective is flat in the small coordinates:
@@ -470,7 +646,7 @@ class TestBoxScalarSolve:
             # h but not near its minimizer, so two inputs compare h only
             if p == 10.0 and k >= 2:
                 continue
-            oracle, _ = ConvexSet.minimize_phi(box, sp, x)
+            oracle, _ = projected_gradient(box, sp, x)
             h_y, h_oracle = box_objective(sp, y, x), box_objective(sp, oracle, x)
             assert h_oracle - 1e-12 * n2 <= h_y <= h_oracle + 1e-12 * n2
             if p < 10.0:
@@ -497,7 +673,7 @@ class TestBoxScalarSolve:
             res = generalized_projection(sp, box, x)
             np.testing.assert_array_equal(res.point, np.zeros(3))
             assert res.converged
-            oracle, _ = ConvexSet.minimize_phi(box, sp, x)
+            oracle, _ = projected_gradient(box, sp, x)
             np.testing.assert_allclose(oracle, np.zeros(3), atol=1e-8)
 
     def test_answers_far_from_the_input_norm_do_not_overflow(self):
@@ -541,8 +717,8 @@ class TestBoxScalarSolve:
         x = np.array(x)
         sp = LpSpace(x.size, 3.0)
         box = Box(lo=np.array(lo), hi=np.array(hi))
-        y, iters = box.minimize_phi(sp, x)
-        assert iters <= 4
+        y, iters, stopped = box.minimize_phi(sp, x)
+        assert stopped and iters <= 4
         assert box_vi_gap(sp, box, x, y) <= 1e-14 * np.linalg.norm(x) ** 2
 
     def test_zero_input_goes_to_the_least_norm_point(self):
