@@ -27,8 +27,6 @@ from .mappings import (
     ProjectionMap,
     ResolventMap,
     ResolventSequence,
-    apply_indexed,
-    srns_diagnostic,
 )
 from .schedules import (
     AlternatingSchedule,

@@ -143,15 +143,6 @@ def _phi(x: np.ndarray, nx: float, jy: np.ndarray, ny: float) -> float:
     return max(v, 0.0)
 
 
-def _dual_combination(lam: float, x: np.ndarray, y: np.ndarray, p: float, q: float) -> np.ndarray:
-    """J^{-1}(lam*Jx + (1-lam)*Jy), x or y itself at the ends."""
-    if lam == 1.0:
-        return x.copy()
-    if lam == 0.0:
-        return y.copy()
-    return _dual_map(lam * _dual_map(x, p) + (1.0 - lam) * _dual_map(y, p), q)
-
-
 @dataclass(frozen=True)
 class LpSpace:
     """R^dim with the p-norm; smooth and uniformly convex for p in (1, inf)."""
@@ -204,9 +195,13 @@ class LpSpace:
         return _phi(x, _power_norm(x, self.p), _dual_map(y, self.p, ny), ny)
 
     def dual_convex_combination(self, lam: float, x, y) -> np.ndarray:
-        """J^{-1}(lam*Jx + (1-lam)*Jy); ordinary convex combination at p = 2."""
+        """J^{-1}(lam*Jx + (1-lam)*Jy), x or y at the ends; a plain combination at p = 2."""
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"combination weight must lie in [0, 1], got {lam}")
         x = self.check(x)
         y = self.check(y)
-        return _dual_combination(lam, x, y, self.p, self.q)
+        if lam == 1.0:
+            return x.copy()
+        if lam == 0.0:
+            return y.copy()
+        return _dual_map(lam * _dual_map(x, self.p) + (1.0 - lam) * _dual_map(y, self.p), self.q)

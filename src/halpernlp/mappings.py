@@ -190,33 +190,3 @@ class BlendSequence(MappingSequence):
             g < 1e-8 and jg > 1e-3 for g, jg in zip(uc_gaps[-tail:], j_gaps[-tail:])
         )
 
-
-def apply_indexed(space: LpSpace, seq: MappingSequence, n: int, x, warm=None):
-    if n < 1:
-        raise ValueError("sequence indices are 1-based")
-    return seq.at(n).apply(space, x, warm=warm)
-
-
-@dataclass
-class SrnsReport:
-    """Finite-sample diagnostic of the strong relative nonexpansiveness
-    implication: d_n -> 0 must force e_n -> 0."""
-
-    d: np.ndarray  # phi(p, x_n) - phi(p, S_n x_n)
-    e: np.ndarray  # phi(S_n x_n, x_n)
-    flagged: bool
-
-
-def srns_diagnostic(space: LpSpace, seq: MappingSequence, xs, p_hat) -> SrnsReport:
-    p_hat = space.check(p_hat)
-    d = np.empty(len(xs))
-    e = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        sx = apply_indexed(space, seq, i + 1, x).point
-        d[i] = space.lyapunov(p_hat, x) - space.lyapunov(p_hat, sx)
-        e[i] = space.lyapunov(sx, x)
-    # flag only when the implication's premise (every d_n < 1e-6) is met but
-    # its conclusion fails (every e_n > 1e-3)
-    flagged = bool(len(xs) > 0 and np.max(d) < 1e-6 and np.min(e) > 1e-3)
-    return SrnsReport(d, e, flagged)
-

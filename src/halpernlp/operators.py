@@ -263,14 +263,17 @@ def _newton_direction(space, op, r, z: NormedPoint, g, lam, rb, rb_positive) -> 
     return (gamma * float(u.dot(gd)) / denom) * du - gd
 
 
-def _newton_start(space, x, z0) -> NormedPoint:
-    """The first Newton iterate, off the origin, with its norm and J.  Newton
-    writes into no iterate, so a warm start is used as it is."""
+def _newton_start(space, x, jx, z0) -> NormedPoint:
+    """The first Newton iterate, off the origin, with its norm and J: z0, or
+    x, whose J is jx.  Newton writes into no iterate, so a warm start is used
+    as it is."""
+    if z0 is None:
+        z0 = NormedPoint(x.copy(), _power_norm(x, space.p), jx)
     if isinstance(z0, NormedPoint):
         if z0.norm > 0.0:
             return z0
         z0 = z0.x
-    z = np.asarray(x if z0 is None else z0, dtype=float)
+    z = np.asarray(z0, dtype=float)
     # nudge off the origin where the Jacobian of J degenerates
     z = z.copy() if np.any(z) else z + 1e-6
     return _normed(z, space.p)
@@ -278,7 +281,7 @@ def _newton_start(space, x, z0) -> NormedPoint:
 
 def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
     p = space.p
-    z = _newton_start(space, x, z0)
+    z = _newton_start(space, x, jx, z0)
     g = _residual(space, op, r, z, jx)
     gnorm = math.sqrt(g.dot(g))
     # a finite ||g||_2 puts every |g_i| below 1e155, so ||g||_q is finite too

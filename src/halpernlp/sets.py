@@ -12,11 +12,14 @@ variant solves it in its own way:
 - ``EuclideanBall``: Newton on its KKT system in (y, mu), with each
   iterate kept on the sphere.
 
-The Newton solves take the Jacobian of J from ``geometry``, as the
-resolvent's Newton does, and return (y, iterations, stopped), stopped False
-when a solve ended short of its stopping test.  The result carries the VI
-residual max <z - Q_C(x), Jx - J Q_C(x)> over random probes z of C, drawn
-once per dimension without an rng; converged means stopped and VI_TOL met.
+The Newton solves take J x and the Jacobian of J and return (y, iterations,
+stopped), stopped False when a solve ended short of its stopping test.
+converged means stopped and the VI residual max <z - Q_C(x), Jx - J Q_C(x)>
+over random probes z of C (drawn once per dimension without an rng) at most
+VI_TOL.  Each set's ``vi_bound(y, g, rho)`` bounds <z - y, g> over the z of C
+within rho of y's Euclidean projection in closed form: with g = Jx - Jy and rho
+the probes' reach, a bound on the residual.  Without an rng, one below VI_TOL
+certifies it, and the probes decide only where the bound cannot.
 ``euclidean_project`` maps a point, or each row of a stack of points.
 Membership within a tolerance is the Euclidean distance to that projection,
 except for ``HalfSpace`` and ``EuclideanBall``, which test
@@ -52,6 +55,11 @@ def _default_probes(dim: int) -> np.ndarray:
     draws = np.random.default_rng(0).standard_normal((_VI_PROBES, dim))
     draws.flags.writeable = False
     return draws
+
+
+@functools.lru_cache(maxsize=32)
+def _probe_reach(dim: int) -> float:
+    return float(np.max(np.linalg.norm(_default_probes(dim), axis=1)))  # of a default draw
 
 
 class ConvexSet:
@@ -102,6 +110,9 @@ class WholeSpace(ConvexSet):
         # every x is its own projection, so Jx - J(proj) vanishes
         return 0.0
 
+    def vi_bound(self, y, g, rho):
+        return 0.0
+
 
 @dataclass(frozen=True, eq=False)
 class HalfSpace(ConvexSet):
@@ -134,7 +145,13 @@ class HalfSpace(ConvexSet):
         excess = np.maximum(x @ self.a - self.b, 0.0)
         return x - (excess / self._aa)[..., None] * self.a
 
-    def minimize_phi(self, space, x):
+    def vi_bound(self, y, g, rho):
+        # <z - y, g> <= mu (b - <a, y>) + ||z - y||_2 ||g - mu a||_2 on C, any mu >= 0
+        slack, mu = self.b - float(y @ self.a), max(float(self.a @ g), 0.0) / self._aa
+        reach, v = rho + max(-slack, 0.0) / self._norm_a, g - mu * self.a  # reach >= ||z - y||_2
+        return mu * slack + reach * math.sqrt(v.dot(v))
+
+    def minimize_phi(self, space, x, jx):
         """The optimality condition pins the minimizer to y(t) = J_q(Jx - t a)
         for the one multiplier t >= 0 at which m(t) = <a, y(t)> - b is 0.
         m is nonincreasing, with m'(t) = -a' DJ_q(Jx - t a) a, and m(0) > 0
@@ -147,7 +164,7 @@ class HalfSpace(ConvexSet):
         feasible end.  A NaN margin (Jx overflowed) ends it with the
         non-finite y, which the VI check rejects with a ValueError.
         """
-        a, b, q, jx = self.a, self.b, space.q, _dual_map(x, space.p)
+        a, b, q = self.a, self.b, space.q
         aa, abs_a = a * a, np.abs(a)
         lo, hi, y_hi, t, dt = 0.0, math.inf, None, 0.0, math.inf  # m(lo) > 0 >= m(hi)
         for k in range(1, _NEWTON_MAX_ITER + 1):
@@ -202,7 +219,12 @@ class Box(ConvexSet):
     def euclidean_project(self, x):
         return np.clip(self._check_dim(x, rows=True), self.lo, self.hi)
 
-    def minimize_phi(self, space, x):
+    def vi_bound(self, y, g, rho):
+        c = np.minimum(np.maximum(y, self.lo), self.hi)  # y's projection; each z_i - c_i is +-rho
+        z = np.minimum(np.maximum(c + rho * np.sign(g), self.lo), self.hi)  # or a bound, as g_i points
+        return float((z - y).dot(g))
+
+    def minimize_phi(self, space, x, jx):
         """Fixing s = ||y||_p splits the optimality conditions by coordinate:
         wherever lo_i < y_i < hi_i, (Jy)_i = s^{2-p} |y_i|^{p-1} sign(y_i)
         equals (Jx)_i, so y_i = (s/||x||)^e x_i with e = (p-2)/(p-1).  The
@@ -293,7 +315,12 @@ class EuclideanBall(ConvexSet):
             raise ValueError("membership tolerance must be >= 0")
         return float(np.linalg.norm(self._check_dim(x) - self.center)) - self.radius <= tol
 
-    def minimize_phi(self, space, x):
+    def vi_bound(self, y, g, rho):
+        r, ng = y - self.center, math.sqrt(g.dot(g))  # <z - c, g> <= R ||g||_2 on the ball
+        reach = rho + max(math.sqrt(r.dot(r)) - self.radius, 0.0)
+        return min(self.radius * ng - float(r.dot(g)), reach * ng)
+
+    def minimize_phi(self, space, x, jx):
         """x is outside, so Q_C(x) is on the sphere and solves the KKT system
         F(y, mu) = [Jy - Jx + mu r; (||r||_2^2 - R^2)/2] = 0, r = y - c,
         mu >= 0.  Newton from the Euclidean projection and least-squares mu:
@@ -307,7 +334,6 @@ class EuclideanBall(ConvexSet):
         from 1e-8, as in the resolvent's Newton.
         """
         p, c, rad2 = space.p, self.center, self.radius * self.radius
-        jx = _dual_map(x, p)
         tol = 4.0 * max(p, 2.0) * _EPS  # each (J y)_i is rounded to about p eps of its size
         n_jx, n_c = math.sqrt(jx.dot(jx)), math.sqrt(c.dot(c))
         y, ny, jy = _normed(self.euclidean_project(x), p)
@@ -370,11 +396,10 @@ class AffineSet(ConvexSet):
         if d.shape[1] != p.shape[0]:
             raise ValueError("direction rows must match the point dimension")
         # orthonormal basis; rank-deficient direction sets are fine
+        basis = d
         if d.shape[0] > 0:
-            u, s, vt = np.linalg.svd(d, full_matrices=False)
-            basis = vt[s > 1e-12 * max(s[0], 1.0)] if s.size else vt[:0]
-        else:
-            basis = d
+            _, s, vt = np.linalg.svd(d, full_matrices=False)
+            basis = vt[s > 1e-12 * max(s[0], 1.0)]
         object.__setattr__(self, "point", p)
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "_basis", basis)
@@ -394,7 +419,11 @@ class AffineSet(ConvexSet):
         # row-vector form: for one point, the same BLAS calls as basis.T @ (basis @ r)
         return self.point + (r @ basis.T) @ basis
 
-    def minimize_phi(self, space, x):
+    def vi_bound(self, y, g, rho):
+        r, v = y - self.point, self._basis @ g  # z - P(y) is in the span, P(y) - y = (r b') b - r
+        return rho * math.sqrt(v.dot(v)) + float(((r @ self._basis.T) @ self._basis - r) @ g)
+
+    def minimize_phi(self, space, x, jx):
         """Q_C(x) minimizes ||y||_p^2 / 2 - <y, Jx> over y in C.  For p > 2,
         damped Newton on y = point + basis' theta, from the Euclidean
         projection.  For p < 2 the Jacobian of J_p is unbounded at zero
@@ -403,7 +432,6 @@ class AffineSet(ConvexSet):
         ||Jx + complement' mu||_q^2 / 2 - <Jx + complement' mu, point>,
         from mu = 0.
         """
-        jx = _dual_map(x, space.p)
         if space.p > 2.0:  # the answer is z
             z, _, k, stopped = _newton_in_span(self.euclidean_project(x), self._basis, space.p, jx)
             return z, k, stopped
@@ -451,23 +479,44 @@ def _newton_in_span(z, rows, e, s):
 
 @dataclass
 class ProjectionResult:
+    """Q_C(x).  converged is the solve's stop and a probe VI residual at most
+    VI_TOL; after a certifying VI bound, the residual is formed on first read."""
+
     point: np.ndarray
     vi_residual: float
     inner_iterations: int
     converged: bool
 
 
+class _CertifiedProjection(ProjectionResult):
+    def __init__(self, point, iters, stopped, probe):
+        self.point, self.inner_iterations, self.converged, self._probe = point, iters, stopped, probe
+
+    vi_residual = functools.cached_property(lambda self: self._probe())
+
+
 def generalized_projection(
     space: LpSpace, cset: ConvexSet, x, rng: np.random.Generator | None = None
 ) -> ProjectionResult:
-    """Q_C(x), the unique minimizer of phi(y, x) over C."""
+    """Q_C(x), the unique minimizer of phi(y, x) over C; without an rng, the
+    probes run only if the VI bound, plus its rounding margin, exceeds VI_TOL."""
     x = space.check(x)
+    jx = _dual_map(x, space.p)
     if cset.contains(x, 0.0):
         point, iters, stopped = x.copy(), 0, True
     elif space.p == 2.0:
         point, iters, stopped = cset.euclidean_project(x), 0, True
     else:
-        point, iters, stopped = cset.minimize_phi(space, x)
+        point, iters, stopped = cset.minimize_phi(space, x, jx)
 
+    if rng is None:
+        g = jx - space.duality_map(point)  # checks the point
+        rho = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(point))) * _probe_reach(space.dim)
+        # the probes' <z - y, g> and the bound sum terms of size <= rho ||g||_2 (rho >= 2.3 ||y||_2,
+        # and the set's data near y no larger), each off by <= (dim + 8) 2^-53 of it: twice covers both
+        margin = (space.dim + 8) * 2.0**-52 * rho * math.sqrt(g.dot(g))
+        if cset.vi_bound(point, g, rho) + margin <= tolerances.VI_TOL:
+            probe = functools.partial(cset.vi_residual, space, x.copy(), point, None)
+            return _CertifiedProjection(point, iters, stopped, probe)
     residual = cset.vi_residual(space, x, point, rng)
     return ProjectionResult(point, residual, iters, stopped and residual <= tolerances.VI_TOL)

@@ -22,12 +22,10 @@ from halpernlp import (
     ResolventSequence,
     ScheduleValidationError,
     WholeSpace,
-    apply_indexed,
-    srns_diagnostic,
 )
 from halpernlp import schedules
 from halpernlp.geometry import NormedPoint
-from halpernlp.mappings import ApplyResult
+from halpernlp.mappings import ApplyResult, MappingSequence
 from halpernlp.operators import resolvent
 from halpernlp.schedules import (
     Schedule,
@@ -35,6 +33,36 @@ from halpernlp.schedules import (
     validate_blend_weights,
     validate_resolvent_radii,
 )
+
+
+def apply_indexed(space: LpSpace, seq: MappingSequence, n: int, x, warm=None):
+    if n < 1:
+        raise ValueError("sequence indices are 1-based")
+    return seq.at(n).apply(space, x, warm=warm)
+
+
+@dataclass
+class SrnsReport:
+    """Finite-sample diagnostic of the strong relative nonexpansiveness
+    implication: d_n -> 0 must force e_n -> 0."""
+
+    d: np.ndarray  # phi(p, x_n) - phi(p, S_n x_n)
+    e: np.ndarray  # phi(S_n x_n, x_n)
+    flagged: bool
+
+
+def srns_diagnostic(space: LpSpace, seq: MappingSequence, xs, p_hat) -> SrnsReport:
+    p_hat = space.check(p_hat)
+    d = np.empty(len(xs))
+    e = np.empty(len(xs))
+    for i, x in enumerate(xs):
+        sx = apply_indexed(space, seq, i + 1, x).point
+        d[i] = space.lyapunov(p_hat, x) - space.lyapunov(p_hat, sx)
+        e[i] = space.lyapunov(sx, x)
+    # flag only when the implication's premise (every d_n < 1e-6) is met but
+    # its conclusion fails (every e_n > 1e-3)
+    flagged = bool(len(xs) > 0 and np.max(d) < 1e-6 and np.min(e) > 1e-3)
+    return SrnsReport(d, e, flagged)
 
 
 def reference_points(space: LpSpace, ref, rng=None):

@@ -374,7 +374,7 @@ class TestAffineNewton:
                 directions=rng.standard_normal((int(rng.integers(1, 5)), 10)),
             )
             x = 2.0 * scale * rng.standard_normal(10)
-            y, iters, stopped = aff.minimize_phi(sp, x)
+            y, iters, stopped = aff.minimize_phi(sp, x, sp.duality_map(x))
             oracle, _ = projected_gradient(aff, sp, x)
             n2 = float(np.dot(x, x))
             assert stopped and iters <= 20
@@ -427,7 +427,7 @@ class TestBallNewton:
         sp, ball = LpSpace(10, p), self.BALL
         for _ in range(3):
             x = 2.0 * scale * rng.standard_normal(10)
-            y, iters, stopped = ball.minimize_phi(sp, x)
+            y, iters, stopped = ball.minimize_phi(sp, x, sp.duality_map(x))
             oracle, _ = projected_gradient(ball, sp, x)
             n2 = float(np.dot(x, x))
             assert stopped and iters <= 12
@@ -445,7 +445,7 @@ class TestBallNewton:
         sp, ball = LpSpace(10, p), self.BALL
         for excess in (0.1, 1e-3, 1e-6):
             for x in sphere_points(ball, rng, excess, 4):
-                y, iters, stopped = ball.minimize_phi(sp, x)
+                y, iters, stopped = ball.minimize_phi(sp, x, sp.duality_map(x))
                 res = generalized_projection(sp, ball, x)
                 np.testing.assert_array_equal(res.point, y)
                 assert res.converged == (stopped and res.vi_residual <= tolerances.VI_TOL)
@@ -460,7 +460,7 @@ class TestBallNewton:
         sp, ball = LpSpace(10, 3.0), self.BALL
         x = sphere_points(ball, np.random.default_rng(4), 1e-3, 1)[0]
         monkeypatch.setattr(sets, "_NEWTON_MAX_ITER", 1)
-        y, iters, stopped = ball.minimize_phi(sp, x)
+        y, iters, stopped = ball.minimize_phi(sp, x, sp.duality_map(x))
         assert iters == 1 and not stopped
         res = generalized_projection(sp, ball, x)
         assert res.vi_residual <= tolerances.VI_TOL
@@ -636,7 +636,7 @@ class TestBoxScalarSolve:
             x = 2.0 * scale * rng.standard_normal(6)
             if box.contains(x, 0.0):
                 continue
-            y, iters, stopped = box.minimize_phi(sp, x)
+            y, iters, stopped = box.minimize_phi(sp, x, sp.duality_map(x))
             n2 = max(1.0, float(np.linalg.norm(x)) ** 2)
             assert stopped and iters <= 12
             assert box.contains(y, 0.0)
@@ -717,7 +717,7 @@ class TestBoxScalarSolve:
         x = np.array(x)
         sp = LpSpace(x.size, 3.0)
         box = Box(lo=np.array(lo), hi=np.array(hi))
-        y, iters, stopped = box.minimize_phi(sp, x)
+        y, iters, stopped = box.minimize_phi(sp, x, sp.duality_map(x))
         assert stopped and iters <= 4
         assert box_vi_gap(sp, box, x, y) <= 1e-14 * np.linalg.norm(x) ** 2
 
@@ -744,3 +744,89 @@ class TestBoxScalarSolve:
         res = generalized_projection(sp, box, x)
         assert res.converged and res.inner_iterations <= 10
         assert box_vi_gap(sp, box, x, res.point) <= 1e-12 * np.linalg.norm(x) ** 2
+
+
+def certificate_cases(dim, scale, rng):
+    """(set, inputs) pairs of every variant at one dimension and scale: boxes
+    with infinite bounds, and balls with inputs 0.1, 1e-3 and 1e-6 outside
+    the sphere."""
+    lo, hi = -scale * rng.random(dim), scale * rng.random(dim)
+    lo_open, hi_open = lo.copy(), hi.copy()
+    lo_open[: dim // 2 + 1] = -np.inf
+    hi_open[dim // 2:] = np.inf
+    ball = EuclideanBall(center=0.3 * scale * rng.standard_normal(dim), radius=scale * (0.2 + rng.random()))
+    near = np.concatenate([sphere_points(ball, rng, e * scale, 1) for e in (0.1, 1e-3, 1e-6)])
+    cases = [
+        (WholeSpace(), []),
+        (HalfSpace(a=rng.standard_normal(dim), b=scale * rng.standard_normal()), []),
+        (Box(lo=lo, hi=hi), []),
+        (Box(lo=lo_open, hi=hi), []),
+        (Box(lo=lo, hi=hi_open), []),
+        (ball, list(near)),
+        (AffineSet(point=scale * rng.standard_normal(dim),
+                   directions=rng.standard_normal((int(rng.integers(0, dim)), dim))), []),
+    ]
+    return [(cset, extra + list(2.0 * scale * rng.standard_normal((3, dim)))) for cset, extra in cases]
+
+
+class TestVIBound:
+    """The closed-form VI bound certifies a projection without forming the
+    probes; converged must stay what the probes alone would decide."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 6.0, 10.0])
+    def test_certificate_leaves_converged_as_the_probes_decide(self, p, scale):
+        rng = np.random.default_rng(int(10 * p) + int(np.log10(scale)))
+        certified = 0
+        for dim in (1, 2, 10, 30):
+            sp = LpSpace(dim, p)
+            for cset, inputs in certificate_cases(dim, scale, rng):
+                for x in inputs:
+                    inside = cset.contains(x, 0.0) or p == 2.0
+                    stopped = inside or cset.minimize_phi(sp, x, sp.duality_map(x))[2]
+                    res = generalized_projection(sp, cset, x)
+                    eager = cset.vi_residual(sp, x, res.point, None)
+                    assert res.converged == (stopped and eager <= tolerances.VI_TOL)
+                    # the bound dominates the probes up to the rounding margin
+                    g = sp.duality_map(x) - sp.duality_map(res.point)
+                    rho = max(1.0, np.linalg.norm(x), np.linalg.norm(res.point)) * sets._probe_reach(dim)
+                    margin = (dim + 8) * 2.0**-52 * rho * np.linalg.norm(g)
+                    assert eager <= cset.vi_bound(res.point, g, rho) + margin
+                    if isinstance(res, sets._CertifiedProjection):
+                        certified += 1
+                        assert eager <= tolerances.VI_TOL
+                        assert res.vi_residual == eager  # read lazily, the same bits
+                    # with an rng the probes are drawn as before: 100 rows per
+                    # call, none for the whole space
+                    drawn, expected = np.random.default_rng(5), np.random.default_rng(5)
+                    with_rng = generalized_projection(sp, cset, x, rng=drawn)
+                    if not isinstance(cset, WholeSpace):
+                        expected.standard_normal((100, dim))
+                    assert drawn.bit_generator.state == expected.bit_generator.state
+                    assert with_rng.vi_residual == cset.vi_residual(sp, x, res.point, np.random.default_rng(5))
+                    assert with_rng.converged == (stopped and with_rng.vi_residual <= tolerances.VI_TOL)
+        assert certified > 0
+
+    def test_calls_projections_certify_without_probes(self, monkeypatch):
+        # the set cells of the benchmark's calls workload: each projection
+        # without an rng certifies, so no probe is formed
+        directions, cells = calls_workload_inputs()
+        targets = [
+            HalfSpace(a=np.ones(10), b=0.5),
+            Box(lo=-0.5 * np.ones(10), hi=0.5 * np.ones(10)),
+            EuclideanBall(center=0.1 * np.ones(10), radius=0.8),
+            AffineSet(point=np.zeros(10), directions=directions),
+        ]
+
+        def no_probes(*args):
+            raise AssertionError("probes formed")
+
+        monkeypatch.setattr(ConvexSet, "vi_residual", no_probes)
+        calls = 0
+        for variant, p, scale, inputs in cells:
+            if variant < 4:
+                for x in inputs:
+                    res = generalized_projection(LpSpace(10, p), targets[variant], x)
+                    assert isinstance(res, sets._CertifiedProjection) and res.converged
+                    calls += 1
+        assert calls == 64
