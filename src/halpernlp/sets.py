@@ -3,8 +3,8 @@
 The generalized projection Q_C(x) minimizes phi(y, x) over C.  Each
 variant solves it in its own way:
 
-- ``HalfSpace``: safeguarded Newton on the one multiplier t of <a, y> = b,
-  where y = J_q(Jx - t a);
+- ``HalfSpace``: the ``AffineSet`` solves on its boundary hyperplane
+  <a, y> = b, where Q_C(x) lies for x outside, given by its unit normal;
 - ``Box``: Newton on the scalar t = log ||y||_p, since fixing the norm
   splits the problem into coordinates (Alber 1996; Kamimura-Takahashi 2002);
 - ``AffineSet``: damped Newton on the coordinates of y in the direction
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, LpSpace, _dual_map, _dual_map_jacobian, _normed
+from .geometry import DimensionMismatchError, LpSpace, _dual_map, _dual_map_jacobian, _normed, _power_norm
 from . import tolerances
 
 _ARMIJO_C = 1e-4
@@ -129,6 +129,7 @@ class HalfSpace(ConvexSet):
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "_aa", float(np.dot(a, a)))
         object.__setattr__(self, "_norm_a", math.sqrt(self._aa))
+        object.__setattr__(self, "_unit_normal", a / self._norm_a)
 
     @property
     def dim(self) -> int:
@@ -152,49 +153,18 @@ class HalfSpace(ConvexSet):
         return mu * slack + reach * math.sqrt(v.dot(v))
 
     def minimize_phi(self, space, x, jx):
-        """The optimality condition pins the minimizer to y(t) = J_q(Jx - t a)
-        for the one multiplier t >= 0 at which m(t) = <a, y(t)> - b is 0.
-        m is nonincreasing, with m'(t) = -a' DJ_q(Jx - t a) a, and m(0) > 0
-        since x is outside.  Newton on t from 0, safeguarded by a bracket
-        [lo, hi] with m(lo) > 0 >= m(hi): a Newton step that leaves the
-        bracket, or is not half as long as the step before it, gives way to
-        bisection, or to doubling lo while no hi is known, so the bracket
-        grows at any scale.  The solve ends when m(hi) is at its rounding
-        level, or lo and hi are adjacent floats, and returns y(hi), the
-        feasible end.  A NaN margin (Jx overflowed) ends it with the
-        non-finite y, which the VI check rejects with a ValueError.
+        """x is outside, so Q_C(x) is Q_H(x) for the boundary hyperplane H.
+        The affine set's solves, given H's unit normal n for a basis, so that
+        a step costs O(dim): dual Newton on the multiplier mu of
+        y = J_q(Jx + mu n), and for p > 2, where the root can sit on a riser
+        of J_q below the rounding of mu, primal Newton on H from there.
         """
-        a, b, q = self.a, self.b, space.q
-        aa, abs_a = a * a, np.abs(a)
-        lo, hi, y_hi, t, dt = 0.0, math.inf, None, 0.0, math.inf  # m(lo) > 0 >= m(hi)
-        for k in range(1, _NEWTON_MAX_ITER + 1):
-            v, nv, y = _normed(jx - t * a, q)
-            m = float(y @ a) - b  # as in euclidean_project, so that y(hi) is inside
-            if m <= 0.0:
-                hi, y_hi = t, y
-                if -m <= 4.0 * _EPS * (abs(b) + float(np.abs(y) @ abs_a)):
-                    return y, k, True  # m is at its rounding level: the root is found
-            elif m > 0.0:
-                lo = t
-            else:
-                break
-            # DJ_q is 0-homogeneous: take it at v/||v||, where no power overflows
-            d, gamma, u = _dual_map_jacobian(v / (nv or 1.0), q, nv and 1.0)
-            au = float(np.dot(a, u))
-            slope = float(np.dot(d, aa)) + gamma * au * au  # -m'(t)
-            t_new = t + m / slope if slope > 0.0 else math.nan
-            if m > 0.0 and t_new == t:  # a step below half an ulp of t
-                t_new = math.nextafter(t, math.inf)
-            dt_old, dt = dt, abs(t_new - t)
-            if lo < t_new < hi and dt <= 0.5 * dt_old:
-                t = t_new
-            elif hi == math.inf:
-                t = t_new if t_new > lo else (2.0 * lo if lo > 0.0 else 1.0)
-            else:
-                t, dt = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                if not lo < t < hi:
-                    return y_hi, k, True  # lo and hi are adjacent floats
-        return (y if y_hi is None else y_hi), k, False
+        n, beta = self._unit_normal, self.b / self._norm_a
+        _, y, k, stopped = _newton_in_span(jx, n[None, :], space.q, beta * n)
+        if stopped or space.p < 2.0:
+            return y, k, stopped
+        z, _, k_primal, stopped = _newton_in_span(y - (float(y @ n) - beta) * n, None, space.p, jx, normal=n)
+        return z, k + k_primal, stopped
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,14 +320,11 @@ class EuclideanBall(ConvexSet):
                 break
             d, gamma, u = _dual_map_jacobian(y / ny, p, 1.0)
             dd = d + (mu + lam)  # d >= 0, so only mu + lam = 0 can leave a zero
-            du = u / dd
-            denom = 1.0 + gamma * float(u.dot(du))
+            solve, denom = _diag_rank1_solver(dd, gamma, u)
             if not (denom > 0.0 and (mu + lam > 0.0 or (dd > 0.0).all())):
                 lam = max(2.0 * lam, 1e-8)
                 continue
-            fd, rd = f1 / dd, r / dd
-            a = fd - (gamma * float(u.dot(fd)) / denom) * du
-            b = rd - (gamma * float(u.dot(rd)) / denom) * du
+            a, b = solve(f1), solve(r)
             bb, t = float(b.dot(b)), 1.0
             for _ in range(60):
                 ta = t * a
@@ -438,42 +405,77 @@ class AffineSet(ConvexSet):
         return _newton_in_span(jx, self._complement, space.q, self.point)[1:]  # J_q z is the answer
 
 
-def _newton_in_span(z, rows, e, s):
-    """(z*, J_e z*, iterations, stopped) for z* the minimizer of
-    f(z) = ||z||_e^2 / 2 - <z, s> over z + span(rows), rows orthonormal.
+def _diag_rank1_solver(dd, gamma, u):
+    """(v -> (diag(dd) + gamma u u')^-1 v by Sherman-Morrison, its denominator
+    1 + gamma u' diag(dd)^-1 u); dd > 0."""
+    du = u / dd
+    denom = 1.0 + gamma * float(u.dot(du))
 
-    Damped Newton on the coordinates theta of z + rows' theta: the gradient
-    is rows(J_e z - s) and the Hessian (rows d) rows' + gamma (rows u)(rows u)',
-    with (d, gamma, u) the Jacobian of J_e at z.  Armijo backtracking on f,
-    until the gradient is at its rounding level.
+    def solve(v):
+        vd = v / dd
+        return vd - (gamma * float(u.dot(vd)) / denom) * du
+
+    return solve, denom
+
+
+def _newton_in_span(z, rows, e, s, normal=None):
+    """(z*, J_e z*, iterations, stopped) for z* the minimizer of
+    f(z) = ||z||_e^2 / 2 - <z, s> over z + span(rows), rows orthonormal, or
+    with rows None over z + the complement of the unit vector normal.
+
+    Damped Newton with M = diag(d) + gamma u u' the Jacobian of J_e at z: on
+    the coordinates theta of z + rows' theta, with gradient rows(J_e z - s)
+    and Hessian rows M rows'; or given a normal, on the KKT system
+    [M, normal; normal', 0] by Sherman-Morrison, d floored at eps max(d).
+    A step that does not descend gives way to the gradient.  Armijo
+    backtracking on f; stopped only when the gradient is at its rounding level.
     """
     z, nz, jz = _normed(z, e)
-    fz = 0.5 * nz * nz - float(np.dot(z, s))
+    zs = float(np.dot(z, s))
+    fz = 0.5 * nz * nz - zs
     grad_eps = 4.0 * e * _EPS  # each (J_e z)_i is rounded to about e eps of its size
+    abs_s = np.abs(s)
+    abs_rows = np.abs(rows) if normal is None else np.abs(normal)
     for k in range(1, _NEWTON_MAX_ITER + 1):
-        g = rows @ (jz - s)
-        if (np.abs(g) <= grad_eps * (np.abs(rows) @ (np.abs(jz) + np.abs(s)))).all():
+        if normal is None:
+            g, bound = rows @ (jz - s), abs_rows @ (np.abs(jz) + abs_s)
+        else:  # projecting off normal adds |normal_i| <|normal|, error> to each error
+            r, w = jz - s, np.abs(jz) + abs_s
+            g, bound = r - float(normal @ r) * normal, w + float(abs_rows @ w) * abs_rows
+        if (np.abs(g) <= grad_eps * bound).all():
             return z, jz, k - 1, True  # also when there are no rows
-        d, gamma, u = _dual_map_jacobian(z / (nz or 1.0), e, nz and 1.0)  # as in HalfSpace
-        ru = rows @ u
-        try:
-            dtheta = np.linalg.solve((rows * d) @ rows.T + gamma * np.outer(ru, ru), -g)
-        except np.linalg.LinAlgError:
-            dtheta = -g  # a singular model: fall back to the gradient
+        # DJ_e is 0-homogeneous: take it at z/||z||, where no power overflows
+        d, gamma, u = _dual_map_jacobian(z / (nz or 1.0), e, nz and 1.0)
+        if normal is None:
+            ru = rows @ u
+            try:
+                dtheta = np.linalg.solve((rows * d) @ rows.T + gamma * (ru[:, None] * ru), -g)
+            except np.linalg.LinAlgError:
+                dtheta = -g  # a singular model: fall back to the gradient
+        else:
+            solve = _diag_rank1_solver(np.maximum(d, _EPS * float(d.max())), gamma, u)[0]
+            mg, mn = solve(g), solve(normal)
+            dtheta = (float(normal @ mg) / float(normal @ mn)) * mn - mg
+            dtheta -= float(normal @ dtheta) * normal  # cancellation can leave a part along normal
         slope = float(np.dot(g, dtheta))  # df along dtheta, < 0
-        if not slope < 0.0:
-            return z, jz, k, True  # a non-finite model, or no descent left
-        dz = dtheta @ rows
+        if not slope < 0.0:  # a model singular at rounding level: fall back to the gradient
+            dtheta, slope = -g, -float(np.dot(g, g))
+            if not slope < 0.0:
+                return z, jz, k, False  # a non-finite gradient
+        dz = dtheta @ rows if normal is None else dtheta
         # near the minimizer a step moves f by less than f's rounding error
-        f_noise = 4.0 * _EPS * (0.5 * nz * nz + abs(float(np.dot(z, s))))
-        for step in 0.5 ** np.arange(60.0):  # down to 2^-59, about 1.7e-18
+        f_noise = 4.0 * _EPS * (0.5 * nz * nz + abs(zs))
+        step = 1.0
+        for _ in range(60):  # down to 2^-59, about 1.7e-18
             cand, nc, jc = _normed(z + step * dz, e)
-            fc = 0.5 * nc * nc - float(np.dot(cand, s))
+            cs = float(np.dot(cand, s))
+            fc = 0.5 * nc * nc - cs
             if fc <= fz + _ARMIJO_C * step * slope + f_noise:
                 break
+            step *= 0.5
         else:
-            return z, jz, k, True  # no descent at float precision
-        z, nz, jz, fz = cand, nc, jc, fc
+            return z, jz, k, False  # no descent at float precision
+        z, nz, jz, zs, fz = cand, nc, jc, cs, fc
     return z, jz, _NEWTON_MAX_ITER, False
 
 
@@ -499,9 +501,13 @@ def generalized_projection(
     space: LpSpace, cset: ConvexSet, x, rng: np.random.Generator | None = None
 ) -> ProjectionResult:
     """Q_C(x), the unique minimizer of phi(y, x) over C; without an rng, the
-    probes run only if the VI bound, plus its rounding margin, exceeds VI_TOL."""
+    probes run only if the VI bound, plus its rounding margin, exceeds VI_TOL.
+    An x whose p-norm overflows raises ValueError."""
     x = space.check(x)
-    jx = _dual_map(x, space.p)
+    nx = _power_norm(x, space.p)
+    if nx == math.inf:
+        raise ValueError("the p-norm of the point overflows, so its duality map is not finite")
+    jx = _dual_map(x, space.p, nx)
     if cset.contains(x, 0.0):
         point, iters, stopped = x.copy(), 0, True
     elif space.p == 2.0:

@@ -197,31 +197,6 @@ def halfspace_gp_oracle(space, hs, x):
     return space.inverse_duality_map(jx - t * hs.a)
 
 
-def bisection_margin_evaluations(space, hs, x):
-    """Margin evaluations of a bracket-and-bisect solve for the half-space
-    multiplier: doubling from [0, 1], then bisection down to a width of
-    1e-16 max(1, hi) or to adjacent floats."""
-    jx, evals = _dual_map(x, space.p), 0
-
-    def margin(t):
-        nonlocal evals
-        evals += 1
-        return float(np.dot(hs.a, _dual_map(jx - t * hs.a, space.q))) - hs.b
-
-    lo, hi = 0.0, 1.0
-    while margin(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-16 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if margin(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return evals
-
-
 def halfspace_vi_gap(space, hs, x, y):
     """An upper bound on max <z - y, Jx - Jy> over the z of the half-space
     with ||z - y||_2 <= ||x||_2: write Jx - Jy = t a + g with g orthogonal
@@ -300,19 +275,59 @@ class TestHalfSpaceMembership:
 
 
 class TestHalfSpaceNewton:
+    """The half-space projects an outside x onto its boundary hyperplane
+    with the affine set's Newton solve, given the hyperplane's normal."""
+
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0, 10.0])
-    def test_matches_the_oracle_in_fewer_evaluations_than_bisection(self, p, scale):
-        rng = np.random.default_rng(3)
+    def test_matches_the_oracle(self, p, scale):
+        # b = 0.5 scale, and b = 0.5, where the multiplier exceeds 1 at scale 1e3
         sp = LpSpace(10, p)
-        hs = HalfSpace(a=np.ones(10), b=0.5 * scale)
-        for _ in range(3):
-            x = scale * (rng.standard_normal(10) + 1.0)
-            res = generalized_projection(sp, hs, x, rng=rng)
-            assert res.converged
-            assert res.inner_iterations <= bisection_margin_evaluations(sp, hs, x)
-            assert float(hs.a @ res.point) <= hs.b
-            np.testing.assert_allclose(res.point, halfspace_gp_oracle(sp, hs, x), atol=1e-9 * scale)
+        for b in (0.5 * scale, 0.5):
+            rng = np.random.default_rng(3)
+            hs = HalfSpace(a=np.ones(10), b=b)
+            for _ in range(3):
+                x = scale * (rng.standard_normal(10) + 1.0)
+                res = generalized_projection(sp, hs, x, rng=rng)
+                y = res.point
+                assert res.converged and res.inner_iterations <= 80
+                # the solve puts y on either side of the hyperplane at rounding level
+                assert float(hs.a @ y) - hs.b <= 10 * EPS * (abs(hs.b) + float(np.abs(hs.a * y).sum()))
+                np.testing.assert_allclose(y, halfspace_gp_oracle(sp, hs, x), atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("seed", [[0, 10], [74, 10]], ids=["0-10", "74-10"])
+    def test_high_p_answers_lie_on_the_hyperplane(self, seed):
+        # a bracket on the multiplier used to report these as converged,
+        # about 1e-3 ||x||_2 inside the half-space
+        rng = np.random.default_rng(seed)
+        sp = LpSpace(5, 10.0)
+        hs = HalfSpace(a=rng.standard_normal(5), b=float(rng.standard_normal()))
+        x = rng.standard_normal(5)
+        res = generalized_projection(sp, hs, x)
+        nx = float(np.linalg.norm(x))
+        assert res.converged
+        assert abs(float(hs.a @ res.point) - hs.b) <= 1e-12 * float(np.linalg.norm(hs.a)) * nx
+        oracle, _ = projected_gradient(hs, sp, x)
+        assert abs(phi_objective(sp, res.point, x) - phi_objective(sp, oracle, x)) <= 1e-13 * nx * nx
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 10.0])
+    def test_one_dimensional_hyperplane_is_a_point(self, p):
+        # a's orthogonal complement is {0}, so Q_C(x) is b / a for x outside
+        res = generalized_projection(LpSpace(1, p), HalfSpace(a=np.array([-2.0]), b=3.0), np.array([-7.0]))
+        assert res.converged
+        np.testing.assert_allclose(res.point, [-1.5], rtol=1e-15)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 10.0])
+    def test_a_long_normal_needs_no_basis(self, p):
+        # a basis of a's orthogonal complement would hold dim^2 floats, and a
+        # Newton step on it would cost dim^3
+        rng = np.random.default_rng(5)
+        dim = 10_000
+        hs = HalfSpace(a=rng.standard_normal(dim), b=1.0)
+        x = rng.standard_normal(dim) + 0.1 * hs.a  # <a, x> is about 1e3: outside
+        res = generalized_projection(LpSpace(dim, p), hs, x)
+        assert res.converged
+        assert abs(float(hs.a @ res.point) - hs.b) <= 1e-12 * float(np.linalg.norm(hs.a) * np.linalg.norm(x))
 
     @pytest.mark.parametrize("lam", [1e20, 1e31, 1e40])
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -394,6 +409,18 @@ class TestAffineNewton:
                 assert res.inner_iterations <= 8
                 passed += res.converged
         assert passed == 6
+
+    @pytest.mark.parametrize("seed", [9, 93, 102, 291])
+    def test_a_stop_is_claimed_only_at_the_minimizer(self, seed):
+        # the first Newton model here is singular at rounding level, so its
+        # step is not a descent direction; the solve used to report stopped
+        # after it, with probe residuals from 3.75 to 34.3
+        rng = np.random.default_rng(seed)
+        a, b, x = rng.standard_normal(30), float(rng.standard_normal()), rng.standard_normal(30)
+        hyperplane = AffineSet(point=(b / float(a @ a)) * a, directions=np.linalg.svd(a[None, :])[2][1:])
+        sp = LpSpace(30, 10.0)
+        y, _, stopped = hyperplane.minimize_phi(sp, x, sp.duality_map(x))
+        assert not stopped or hyperplane.vi_residual(sp, x, y, None) <= tolerances.VI_TOL
 
     def test_singleton(self):
         single = AffineSet(point=np.array([1.0, -2.0, 0.5]), directions=np.zeros((0, 3)))
@@ -525,20 +552,17 @@ class TestGeneralizedProjection:
             oracle = halfspace_gp_oracle(sp, hs, x)
             np.testing.assert_allclose(res.point, oracle, atol=1e-6)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e3])
-    @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
-    def test_halfspace_bisection_stops_at_adjacent_floats(self, p, scale):
-        # the multiplier exceeds 1 here, where the width test 1e-16 * hi is
-        # below one ulp of hi; the bisection used to run to a 300-step cap
-        rng = np.random.default_rng(3)
-        sp = LpSpace(10, p)
-        hs = HalfSpace(a=np.ones(10), b=0.5)
-        for _ in range(3):
-            x = scale * (rng.standard_normal(10) + 1.0)
-            res = generalized_projection(sp, hs, x, rng=rng)
-            assert res.converged and res.inner_iterations <= 80
-            oracle = halfspace_gp_oracle(sp, hs, x)
-            np.testing.assert_allclose(res.point, oracle, atol=1e-9 * scale)
+    @pytest.mark.parametrize("cset", [
+        Box(lo=-np.ones(10), hi=np.ones(10)),
+        EuclideanBall(center=np.zeros(10), radius=1.0),
+        AffineSet(point=np.zeros(10), directions=np.eye(10)[:2]),
+    ], ids=["box", "ball", "affine"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_norm_is_rejected(self, cset):
+        # ||x||_3 overflows, so Jx is NaN: every set must refuse the point,
+        # as TestHalfSpaceNewton::test_overflowed_dual_point_is_rejected checks for the half-space
+        with pytest.raises(ValueError, match="overflows"):
+            generalized_projection(LpSpace(10, 3.0), cset, np.full(10, 1e308))
 
     def test_idempotence(self, rng):
         sp = LpSpace(3, 3.0)
