@@ -13,13 +13,14 @@ variant solves it in its own way:
   iterate kept on the sphere.
 
 The Newton solves take J x and the Jacobian of J and return (y, iterations,
-stopped), stopped False when a solve ended short of its stopping test.
-converged means stopped and the VI residual max <z - Q_C(x), Jx - J Q_C(x)>
-over random probes z of C (drawn once per dimension without an rng) at most
-VI_TOL.  Each set's ``vi_bound(y, g, rho)`` bounds <z - y, g> over the z of C
-within rho of y's Euclidean projection in closed form: with g = Jx - Jy and rho
-the probes' reach, a bound on the residual.  Without an rng, one below VI_TOL
-certifies it, and the probes decide only where the bound cannot.
+stopped), stopped False when a solve ended short of its stopping test; one-row
+models are solved by division.  converged means stopped and the VI residual
+max <z - Q_C(x), Jx - J Q_C(x)> over random probes z of C (drawn once per
+dimension without an rng) at most VI_TOL.  Each set's ``vi_bound(y, g, rho)``
+bounds <z - y, g> over the z of C within rho of y's Euclidean projection in
+closed form: with g = Jx - Jy and rho the probes' reach, a bound on the
+residual.  Without an rng, one below VI_TOL certifies it, and the probes
+decide only where the bound cannot; an x in C, where g = 0, certifies at once.
 ``euclidean_project`` maps a point, or each row of a stack of points.
 Membership within a tolerance is the Euclidean distance to that projection,
 except for ``HalfSpace`` and ``EuclideanBall``, which test
@@ -83,8 +84,8 @@ class ConvexSet:
     def contains(self, x, tol: float = tolerances.MEMBERSHIP_TOL) -> bool:
         if tol < 0:
             raise ValueError("membership tolerance must be >= 0")
-        x = self._check_dim(x)
-        return float(np.linalg.norm(x - self.euclidean_project(x))) <= tol
+        d = self._check_dim(x) - self.euclidean_project(x)
+        return math.sqrt(float(d.dot(d))) <= tol  # np.linalg.norm's value for a 1-d d
 
     def vi_residual(self, space: LpSpace, x, proj, rng) -> float:
         """max over probe points z in C of <z - proj, Jx - J(proj)>, for a
@@ -187,7 +188,7 @@ class Box(ConvexSet):
         return self.lo.shape[0]
 
     def euclidean_project(self, x):
-        return np.clip(self._check_dim(x, rows=True), self.lo, self.hi)
+        return np.minimum(np.maximum(self._check_dim(x, rows=True), self.lo), self.hi)
 
     def vi_bound(self, y, g, rho):
         c = np.minimum(np.maximum(y, self.lo), self.hi)  # y's projection; each z_i - c_i is +-rho
@@ -209,7 +210,7 @@ class Box(ConvexSet):
         """
         p = space.p
         e = (p - 2.0) / (p - 1.0)
-        if not np.any(x):
+        if not x.any():
             return self.euclidean_project(x), 0, True  # y(s) = clip(0) for every s
         sx = np.sign(x)
         t = 0.0
@@ -220,10 +221,10 @@ class Box(ConvexSet):
             for k in range(1, _BOX_MAX_ITER + 1):
                 lz = e * t + lx
                 z = sx * np.exp(lz)
-                y = np.clip(z, self.lo, self.hi)
+                y = np.minimum(np.maximum(z, self.lo), self.hi)  # np.clip's bytes, at a third of its cost
                 free = y == z
                 ly = np.where(free, lz, np.log(np.abs(y)))
-                lny, w = _log_power_norm(ly, p)
+                lny, w, w_sum = _log_power_norm(ly, p)
                 if lny == -math.inf:
                     return y, k, True  # every coordinate clips to 0, whatever s is
                 g = lny - lnx - t
@@ -233,7 +234,7 @@ class Box(ConvexSet):
                     lo_t = t
                 else:
                     hi_t = t
-                t += g / (1.0 - e * float(w[free].sum()) / float(w.sum()))
+                t += g / (1.0 - e * float(np.add.reduce(w[free])) / w_sum)
                 if not lo_t < t < hi_t:  # Newton left the bracket: bisect it
                     t = 0.5 * (lo_t + hi_t)
                     if not lo_t < t < hi_t:
@@ -242,14 +243,15 @@ class Box(ConvexSet):
 
 
 def _log_power_norm(la: np.ndarray, p: float):
-    """(log ||a||_p, w) from la = log|a|, where w = (|a|/max|a|)^p is each
-    coordinate's share of ||a||_p^p up to a common factor; (-inf, None)
-    when a = 0."""
-    m = float(la.max())
+    """(log ||a||_p, w, w.sum()) from la = log|a|, where w = (|a|/max|a|)^p
+    is each coordinate's share of ||a||_p^p up to a common factor;
+    (-inf, None, 0.0) when a = 0."""
+    m = float(np.maximum.reduce(la))
     if m == -math.inf:
-        return m, None
+        return m, None, 0.0
     w = np.exp(p * (la - m))
-    return m + math.log(float(w.sum())) / p, w
+    w_sum = float(np.add.reduce(w))
+    return m + math.log(w_sum) / p, w, w_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +310,10 @@ class EuclideanBall(ConvexSet):
         n_jx, n_c = math.sqrt(jx.dot(jx)), math.sqrt(c.dot(c))
         y, ny, jy = _normed(self.euclidean_project(x), p)
         r = y - c
-        mu = max(0.0, float(r.dot(jx - jy)) / float(r.dot(r)))
+        rr = float(r.dot(r))
+        if rr == 0.0:  # ||x - c||_2 overflowed, or R is lost to the rounding of c or of R^2
+            raise ValueError("the Euclidean projection onto the ball rounds to its center: ||x - c||_2 overflows")
+        mu = max(0.0, float(r.dot(jx - jy)) / rr)
         f1 = jy - jx + mu * r
         fn, lam = math.sqrt(f1.dot(f1)), 0.0
         for k in range(_NEWTON_MAX_ITER + 1):
@@ -436,6 +441,7 @@ def _newton_in_span(z, rows, e, s, normal=None):
     grad_eps = 4.0 * e * _EPS  # each (J_e z)_i is rounded to about e eps of its size
     abs_s = np.abs(s)
     abs_rows = np.abs(rows) if normal is None else np.abs(normal)
+    row = rows[0] if normal is None and rows.shape[0] == 1 else None
     for k in range(1, _NEWTON_MAX_ITER + 1):
         if normal is None:
             g, bound = rows @ (jz - s), abs_rows @ (np.abs(jz) + abs_s)
@@ -446,7 +452,11 @@ def _newton_in_span(z, rows, e, s, normal=None):
             return z, jz, k - 1, True  # also when there are no rows
         # DJ_e is 0-homogeneous: take it at z/||z||, where no power overflows
         d, gamma, u = _dual_map_jacobian(z / (nz or 1.0), e, nz and 1.0)
-        if normal is None:
+        if row is not None:  # a 1x1 model: division gives LAPACK's bits
+            ru = float(row @ u)
+            m = float((row * d) @ row) + gamma * (ru * ru)
+            dtheta = -g / m if m else -g
+        elif normal is None:
             ru = rows @ u
             try:
                 dtheta = np.linalg.solve((rows * d) @ rows.T + gamma * (ru[:, None] * ru), -g)
@@ -501,27 +511,31 @@ def generalized_projection(
     space: LpSpace, cset: ConvexSet, x, rng: np.random.Generator | None = None
 ) -> ProjectionResult:
     """Q_C(x), the unique minimizer of phi(y, x) over C; without an rng, the
-    probes run only if the VI bound, plus its rounding margin, exceeds VI_TOL.
-    An x whose p-norm overflows raises ValueError."""
+    probes run only if the VI bound, plus its rounding margin, exceeds VI_TOL,
+    and an x in C certifies at once.  An x whose p-norm overflows raises
+    ValueError, as does one whose ball projection rounds to the center."""
     x = space.check(x)
     nx = _power_norm(x, space.p)
     if nx == math.inf:
         raise ValueError("the p-norm of the point overflows, so its duality map is not finite")
-    jx = _dual_map(x, space.p, nx)
-    if cset.contains(x, 0.0):
+    inside = cset.contains(x, 0.0)
+    jx = None if inside else _dual_map(x, space.p, nx)
+    if inside:
         point, iters, stopped = x.copy(), 0, True
     elif space.p == 2.0:
         point, iters, stopped = cset.euclidean_project(x), 0, True
     else:
         point, iters, stopped = cset.minimize_phi(space, x, jx)
 
-    if rng is None:
-        g = jx - space.duality_map(point)  # checks the point
-        rho = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(point))) * _probe_reach(space.dim)
-        # the probes' <z - y, g> and the bound sum terms of size <= rho ||g||_2 (rho >= 2.3 ||y||_2,
-        # and the set's data near y no larger), each off by <= (dim + 8) 2^-53 of it: twice covers both
-        margin = (space.dim + 8) * 2.0**-52 * rho * math.sqrt(g.dot(g))
-        if cset.vi_bound(point, g, rho) + margin <= tolerances.VI_TOL:
+    xx = float(x.dot(x))
+    if rng is None and xx < math.inf:  # an infinite rho makes the margin inf or NaN
+        if not inside:  # inside, g = Jx - Jx = 0 and every bound is 0
+            g = jx - _dual_map(point, space.p)  # not finite, so not certified, for a non-finite point
+            rho = max(1.0, math.sqrt(xx), math.sqrt(float(point.dot(point)))) * _probe_reach(space.dim)
+            # the probes' <z - y, g> and the bound sum terms of size <= rho ||g||_2 (rho >= 2.3 ||y||_2,
+            # and the set's data near y no larger), each off by <= (dim + 8) 2^-53 of it: twice covers both
+            margin = (space.dim + 8) * 2.0**-52 * rho * math.sqrt(g.dot(g))
+        if inside or cset.vi_bound(point, g, rho) + margin <= tolerances.VI_TOL:
             probe = functools.partial(cset.vi_residual, space, x.copy(), point, None)
             return _CertifiedProjection(point, iters, stopped, probe)
     residual = cset.vi_residual(space, x, point, rng)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import P_GRID
@@ -377,6 +379,16 @@ def calls_workload_inputs():
     return directions, cells
 
 
+def calls_workload_sets(directions):
+    """The half-space, box, ball and affine set of the calls workload."""
+    return [
+        HalfSpace(a=np.ones(10), b=0.5),
+        Box(lo=-0.5 * np.ones(10), hi=0.5 * np.ones(10)),
+        EuclideanBall(center=0.1 * np.ones(10), radius=0.8),
+        AffineSet(point=np.zeros(10), directions=directions),
+    ]
+
+
 class TestAffineNewton:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0, 10.0])
@@ -563,6 +575,49 @@ class TestGeneralizedProjection:
         # as TestHalfSpaceNewton::test_overflowed_dual_point_is_rejected checks for the half-space
         with pytest.raises(ValueError, match="overflows"):
             generalized_projection(LpSpace(10, 3.0), cset, np.full(10, 1e308))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_ball_offset_that_overflows_is_rejected(self):
+        # ||x||_3 is finite but ||x - c||_2^2 overflows, so the Euclidean
+        # start of the ball's solve rounds to the center, where it divided by 0
+        x = 1e154 * np.linspace(-1.0, 1.3, 10)
+        assert _power_norm(x, 3.0) < np.inf
+        ball = EuclideanBall(center=0.1 * np.ones(10), radius=0.8)
+        with pytest.raises(ValueError, match="overflows"):
+            generalized_projection(LpSpace(10, 3.0), ball, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_answer_is_rejected(self, monkeypatch, bad):
+        # the certificate takes J of the answer with the private map, so a
+        # non-finite answer gives a non-finite margin: the probes run, and
+        # their public duality map refuses the point
+        def broken(self, space, x, jx):
+            y = self.euclidean_project(x)
+            y[3] = bad
+            return y, 1, True
+
+        monkeypatch.setattr(HalfSpace, "minimize_phi", broken)
+        with pytest.raises(ValueError, match="non-finite"):
+            generalized_projection(LpSpace(10, 3.0), HalfSpace(a=np.ones(10), b=0.5), np.ones(10))
+
+    def test_a_point_of_the_set_certifies_at_once(self, rng, monkeypatch):
+        # g = Jx - Jx = 0, so every bound certifies: no duality map is formed
+        sp = LpSpace(10, 3.0)
+        points = [
+            -rng.random(10),
+            0.4 * rng.uniform(-1.0, 1.0, 10),
+            0.1 + 0.05 * rng.standard_normal(10),
+            np.concatenate([rng.standard_normal(2), np.zeros(8)]),
+        ]
+        for cset, x in zip(calls_workload_sets(np.eye(10)[:2]), points):
+            with monkeypatch.context() as m:
+                m.setattr(sets, "_dual_map", None)
+                res = generalized_projection(sp, cset, x)
+            assert isinstance(res, sets._CertifiedProjection) and res.converged
+            assert res.point is not x and res.point.tobytes() == x.tobytes()
+            assert res.inner_iterations == 0
+            assert res.vi_residual == cset.vi_residual(sp, x, x, None)
 
     def test_idempotence(self, rng):
         sp = LpSpace(3, 3.0)
@@ -835,12 +890,7 @@ class TestVIBound:
         # the set cells of the benchmark's calls workload: each projection
         # without an rng certifies, so no probe is formed
         directions, cells = calls_workload_inputs()
-        targets = [
-            HalfSpace(a=np.ones(10), b=0.5),
-            Box(lo=-0.5 * np.ones(10), hi=0.5 * np.ones(10)),
-            EuclideanBall(center=0.1 * np.ones(10), radius=0.8),
-            AffineSet(point=np.zeros(10), directions=directions),
-        ]
+        targets = calls_workload_sets(directions)
 
         def no_probes(*args):
             raise AssertionError("probes formed")
@@ -854,3 +904,36 @@ class TestVIBound:
                     assert isinstance(res, sets._CertifiedProjection) and res.converged
                     calls += 1
         assert calls == 64
+
+    def test_a_bound_within_its_margin_of_vi_tol_does_not_certify(self):
+        # at scale 1e3 the rounding margin alone exceeds VI_TOL: this box's
+        # bound is 0, so only the margin keeps the probes deciding
+        sp = LpSpace(10, 1.1)
+        box = Box(lo=-500.0 * np.ones(10), hi=500.0 * np.ones(10))
+        x = 2e3 * np.random.default_rng(0).standard_normal(10)
+        y, _, stopped = box.minimize_phi(sp, x, sp.duality_map(x))
+        g = sp.duality_map(x) - sp.duality_map(y)
+        rho = max(1.0, np.linalg.norm(x), np.linalg.norm(y)) * sets._probe_reach(10)
+        assert box.vi_bound(y, g, rho) <= tolerances.VI_TOL
+        res = generalized_projection(sp, box, x)
+        assert not isinstance(res, sets._CertifiedProjection)
+        assert res.converged == (stopped and res.vi_residual <= tolerances.VI_TOL)
+
+    # sha256 of the projection points of each set's cells of the calls
+    # workload, in cell order: the solves' bits, which a change that claims
+    # to keep them must keep
+    CALLS_POINTS_SHA256 = [
+        "db3479dc11e3a8f80929c7e33ec95a4dc42eda11a154e6cceef4223aaa16a4d3",  # half-space
+        "0e3ca3df70e1377b461ace08333b5d4977a0c6ad22f72b83e204fb7193e98ec7",  # box
+        "801e57fa4152dc2c6709d5048980af9a155cb61905a091e85b4e1945248230d0",  # ball
+        "3a1faccab506a487afd16be8bd506579651fb145bb7b51d09ca420fe1cf9991e",  # affine set
+    ]
+
+    def test_calls_projection_points_are_pinned(self):
+        directions, cells = calls_workload_inputs()
+        targets, digests = calls_workload_sets(directions), [hashlib.sha256() for _ in range(4)]
+        for variant, p, _, inputs in cells:
+            if variant < 4:
+                for x in inputs:
+                    digests[variant].update(generalized_projection(LpSpace(10, p), targets[variant], x).point.tobytes())
+        assert [d.hexdigest() for d in digests] == self.CALLS_POINTS_SHA256
