@@ -50,6 +50,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    if not Path(args.directory).is_dir():
+        print(f"not a directory: {args.directory}", file=sys.stderr)
+        return EXIT_IO_ERROR
     paths = sorted(Path(args.directory).glob("*.yaml"))
     summaries = run_suite(
         paths, args.out, parallelism=args.parallel, seed_override=args.seed
@@ -134,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = (parser := build_parser()).parse_args(argv)
+    if args.command == "verify-lemmas" and (args.nmax < 4 or args.fuzz < 0):
+        parser.error("verify-lemmas needs --nmax at least 4 and --fuzz at least 0")
     return args.func(args)
 
 

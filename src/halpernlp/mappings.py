@@ -11,6 +11,8 @@ so J S x is v itself and ||S x||_p = ||v||_q.  Its ``apply`` forms only these
 two, all the driver step reads, and T x with its norm and J; S x is formed
 when the result's ``point`` is first read.  Its step diagnostics are formed
 from these carried values and ||x||_p, and give J x - J T x as a vector.
+A resolvent map's ``apply`` returns the ``ResolventResult``, whose answer is
+the next warm start; ``at`` reuses its last map while r_n (or beta_n) is unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import LpSpace, NormedPoint, _dual_map, _normed, _power_norm
-from .operators import MonotoneOperator, resolvent
+from .operators import MonotoneOperator, ResolventResult, resolvent
 from .sets import ConvexSet, generalized_projection
 from .schedules import Schedule, validate_blend_weights, validate_resolvent_radii
 
@@ -41,10 +43,6 @@ class ApplyResult:
         if self._point is None:
             self._point = _dual_map(self.normed.jx, self.q, self.normed.norm)
         return self._point
-
-    @point.setter
-    def point(self, value: np.ndarray) -> None:
-        self._point = value
 
 
 class Mapping:
@@ -72,11 +70,8 @@ class ResolventMap(Mapping):
         if self.r <= 0:
             raise ValueError("resolvent parameter must be positive")
 
-    def apply(self, space, x, warm=None, jx=None):
-        res = resolvent(space, self.op, self.r, x, z0=warm, jx=jx)
-        return ApplyResult(
-            res.point, res.converged, res.inner_iterations, res.jx, res.normed, res.normed
-        )
+    def apply(self, space, x, warm=None, jx=None) -> ResolventResult:
+        return resolvent(space, self.op, self.r, x, z0=warm, jx=jx)
 
     def fixed_point_reference(self, space):
         return self.op.zero_set(space)
@@ -132,6 +127,8 @@ class BlendMap(Mapping):
 
 
 class MappingSequence:
+    _last = None  # the map of the last ``at``, reused while its parameter is unchanged
+
     def at(self, n: int) -> Mapping:
         raise NotImplementedError
 
@@ -154,7 +151,10 @@ class ResolventSequence(MappingSequence):
         validate_resolvent_radii(self.r_schedule)
 
     def at(self, n):
-        return ResolventMap(self.op, self.r_schedule(n))
+        r = self.r_schedule(n)
+        if self._last is None or self._last.r != r:
+            object.__setattr__(self, "_last", ResolventMap(self.op, r))
+        return self._last
 
     def fixed_point_reference(self, space):
         return self.op.zero_set(space)
@@ -175,7 +175,10 @@ class BlendSequence(MappingSequence):
         object.__setattr__(self, "beta_hi", hi)
 
     def at(self, n):
-        return BlendMap(self.inner, self.beta_schedule(n))
+        beta = self.beta_schedule(n)
+        if self._last is None or self._last.beta != beta:
+            object.__setattr__(self, "_last", BlendMap(self.inner, beta))
+        return self._last
 
     def fixed_point_reference(self, space):
         return self.inner.fixed_point_reference(space)

@@ -17,7 +17,10 @@ Newton computes ||z||_p and J z once per trial point, in the residual, and
 keeps them with its accepted iterate as a ``NormedPoint``: the Jacobian of J
 takes ||z||_p from there, and ``ResolventResult.normed`` returns them with
 the answer.  A caller that has J x or a warm start's norm and J passes them
-in instead of having them recomputed.  Newton steers by ||g||_2 and stops on
+in instead of having them recomputed.  A Newton answer also carries
+h = J z + r A z, and a solve from it for the same space, operator and r takes
+its first residual as h - J x.  A direction is checked for finiteness only
+where its full step is rejected.  Newton steers by ||g||_2 and stops on
 ||g||_q <= tol for the residual g.  By Hoelder c ||g||_2 <= ||g||_q <= c_hi ||g||_2,
 c = dim^{min(0, 1/q - 1/2)}, c_hi = dim^{max(0, 1/q - 1/2)}: a c_hi ||g||_2 clear of
 the bound certifies the stop, whose ||g||_q is formed when the residual is read;
@@ -192,6 +195,7 @@ class ResolventResult:
     converged: bool
     jx: np.ndarray  # J(x), the right-hand side of J z + r A z = J x
     normed: NormedPoint  # the point with its norm and J, from the residual
+    inner, warm = None, property(lambda self: self.normed)  # as a map's result, the answer is the warm start
 
 
 class _CertifiedResult(ResolventResult):
@@ -206,6 +210,14 @@ class _CertifiedResult(ResolventResult):
         return _q_norm(*self._space_g)
 
 
+class _Carried(NormedPoint):
+    def __new__(cls, z: NormedPoint, h: np.ndarray, key: tuple):
+        """A Newton answer z with h = J z + r A z, formed for key = (space, op, r)."""
+        c = tuple.__new__(cls, z)
+        c.h, c.key = h, key
+        return c
+
+
 def resolvent(
     space: LpSpace, op: MonotoneOperator, r: float, x, z0=None, jx=None
 ) -> ResolventResult:
@@ -213,24 +225,39 @@ def resolvent(
 
     ``jx`` is J x when the caller already has it, for an x it has checked;
     without it J x is computed here and x is checked.  ``z0`` starts
-    Newton: a point, or a ``NormedPoint`` whose norm and J are reused.
+    Newton: a point, or a ``NormedPoint`` whose norm and J are reused; a
+    Newton answer's ``normed`` also gives J z + r A z for its space, op and r.
     """
     if r <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {r}")
     if jx is None:
         jx = space.duality_map(x)  # checks x
+    if type(z0) is _Carried and z0.key == (space, op, r) and z0.norm > 0.0:
+        # Newton formed z0 for these three, so they have no closed form
+        return _newton_resolvent(space, op, r, jx, z0, z0.h)
     x = np.asarray(x, dtype=float)
     point = op.closed_form_resolvent(space, r, x, jx)
     if point is None:
-        return _newton_resolvent(space, op, r, x, jx, z0)
+        # start from z0, or x with J x = jx; Newton writes into no iterate, so z0 is used as it is
+        if z0 is None:
+            z0 = NormedPoint(x.copy(), _power_norm(x, space.p), jx)
+        if not (isinstance(z0, NormedPoint) and z0.norm > 0.0):
+            z = np.asarray(z0.x if isinstance(z0, NormedPoint) else z0, dtype=float)
+            z0 = _normed(z.copy() if np.any(z) else z + 1e-6, space.p)  # off the origin, where dJ degenerates
+        return _newton_resolvent(space, op, r, jx, z0, _image(space, op, r, z0))
     z = _normed(space.check(point), space.p)
     res = _q_norm(space, _residual(space, op, r, z, jx))
     return ResolventResult(point, res, 0, res <= tolerances.RESOLVENT_TOL, jx, z)
 
 
+def _image(space, op, r, z: NormedPoint) -> np.ndarray:
+    """J z + r A z at a checked z."""
+    return z.jx + (op.evaluate(space, z.x) if r == 1.0 else r * op.evaluate(space, z.x))
+
+
 def _residual(space, op, r, z: NormedPoint, jx) -> np.ndarray:
     """J z + r A z - J x at a checked z."""
-    return z.jx + (op.evaluate(space, z.x) if r == 1.0 else r * op.evaluate(space, z.x)) - jx
+    return _image(space, op, r, z) - jx
 
 
 def _q_norm(space, g) -> float:
@@ -263,26 +290,10 @@ def _newton_direction(space, op, r, z: NormedPoint, g, lam, rb, rb_positive) -> 
     return (gamma * float(u.dot(gd)) / denom) * du - gd
 
 
-def _newton_start(space, x, jx, z0) -> NormedPoint:
-    """The first Newton iterate, off the origin, with its norm and J: z0, or
-    x, whose J is jx.  Newton writes into no iterate, so a warm start is used
-    as it is."""
-    if z0 is None:
-        z0 = NormedPoint(x.copy(), _power_norm(x, space.p), jx)
-    if isinstance(z0, NormedPoint):
-        if z0.norm > 0.0:
-            return z0
-        z0 = z0.x
-    z = np.asarray(z0, dtype=float)
-    # nudge off the origin where the Jacobian of J degenerates
-    z = z.copy() if np.any(z) else z + 1e-6
-    return _normed(z, space.p)
-
-
-def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
-    p = space.p
-    z = _newton_start(space, x, jx, z0)
-    g = _residual(space, op, r, z, jx)
+def _newton_resolvent(space, op, r, jx, z: NormedPoint, h) -> ResolventResult:
+    """Newton from z, off the origin and with its norm and J, where J z + r A z = h."""
+    p, key = space.p, (space, op, r)
+    g = h - jx
     gnorm = math.sqrt(g.dot(g))
     # a finite ||g||_2 puts every |g_i| below 1e155, so ||g||_q is finite too
     if not gnorm < math.inf and _q_norm(space, g) == math.inf:
@@ -297,47 +308,47 @@ def _newton_resolvent(space, op, r, x, jx, z0) -> ResolventResult:
     rb = op.jacobian_diagonal if r == 1.0 or op.jacobian_diagonal is None else r * op.jacobian_diagonal
     rb_positive = rb is not None and r * op._diagonal_min > 0.0  # = min(rb) > 0, as rounding is monotone
     lam = 0.0
-    accepted_iterates = [(z, g)]  # the start, then each accepted iterate
+    accepted_iterates = [(z, h, g)]  # the start, then each accepted iterate
     for k in range(1, _NEWTON_MAX_ITER + 1):
         # every earlier iterate failed the stop test: one that passes is the best
         if gnorm <= sure:
-            return _CertifiedResult(space, g, k, jx, z)
+            return _CertifiedResult(space, g, k, jx, _Carried(z, h, key))
         # ||g||_q >= c ||g||_2; the margin covers rounding in both norms
         if c * gnorm <= _NEWTON_GRAD_TOL * (1.0 + 1e-12):
             gq = _q_norm(space, g)
             if gq <= _NEWTON_GRAD_TOL:
-                return ResolventResult(z.x, gq, k, gq <= tolerances.RESOLVENT_TOL, jx, z)
+                return ResolventResult(z.x, gq, k, gq <= tolerances.RESOLVENT_TOL, jx, _Carried(z, h, key))
         try:
             dz = _newton_direction(space, op, r, z, g, lam, rb, rb_positive)
         except np.linalg.LinAlgError:
             lam = max(2.0 * lam, 1e-8)
             continue
-        if not np.logical_and.reduce(np.isfinite(dz)):
-            # the Newton model overflowed; regularizing cannot make it finite
-            break
         step, trial = 1.0, z.x + dz
-        accepted = False
         for _ in range(60):
             cand = _normed(trial, p)
-            gc = _residual(space, op, r, cand, jx)
+            gc = (hc := _image(space, op, r, cand)) - jx
             gcn = math.sqrt(gc.dot(gc))
             # a non-finite trial residual fails this test and is rejected
             if gcn < gnorm * (1.0 - 1e-4 * step):
-                z, g, gnorm = cand, gc, gcn
-                accepted = True
+                z, h, g, gnorm = cand, hc, gc, gcn
+                break
+            # a non-finite dz makes the full-step trial, hence its residual, NaN
+            if step == 1.0 and not np.logical_and.reduce(np.isfinite(dz)):
                 break
             step *= 0.5
             trial = z.x + step * dz
-        if accepted:
+        if z is cand:  # accepted
             lam *= 0.25
-            accepted_iterates.append((z, g))
+            accepted_iterates.append((z, h, g))
+        elif step == 1.0:  # the Newton model overflowed; regularizing cannot make dz finite
+            break
         else:
             lam = max(4.0 * lam, 1e-8)
             if lam > 1e12:
                 break
     # the iterate of least ||g||_q: the first one of them, or the last iterate
     # on a tie with it
-    gqs = [_q_norm(space, gi) for _, gi in accepted_iterates]
+    gqs = [_q_norm(space, gi) for _, _, gi in accepted_iterates]
     i = -1 if gqs[-1] <= min(gqs) else gqs.index(min(gqs))
-    z, gq = accepted_iterates[i][0], gqs[i]
-    return ResolventResult(z.x, gq, k, gq <= tolerances.RESOLVENT_TOL, jx, z)
+    (z, h, _), gq = accepted_iterates[i], gqs[i]
+    return ResolventResult(z.x, gq, k, gq <= tolerances.RESOLVENT_TOL, jx, _Carried(z, h, key))

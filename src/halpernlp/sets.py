@@ -96,7 +96,8 @@ class ConvexSet:
         # standard_normal(dim) call per probe
         draws = _default_probes(space.dim) if rng is None else rng.standard_normal((_VI_PROBES, space.dim))
         z = self.euclidean_project(proj + scale * draws)
-        return max(0.0, float(np.max((z - proj) @ g)))
+        worst = float(np.max((z - proj) @ g))  # NaN where the probes could not be formed
+        return math.inf if math.isnan(worst) else max(0.0, worst)
 
 
 @dataclass(frozen=True)

@@ -139,18 +139,30 @@ def test_run_contains_a_non_finite_blend_after_the_first_step(tmp_path, capsys, 
     assert len(calls) == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_stops_at_first_violated_inequality(tmp_path, capsys):
-    # pushed by 1e200, p3's slack b first falls below -1e-7 at step 5; the
+    # pushed by 1.0, p3's slack b first falls below -1e-7 at step 2; the
     # run ends there instead of using its 100,000-step budget
-    path = _perturbed_p3(tmp_path, "1.0e+200")
+    path = _perturbed_p3(tmp_path, "1.0")
     t0 = time.perf_counter()
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert time.perf_counter() - t0 < 1.0
     fields = capsys.readouterr().out.splitlines()[1].split("\t")
     assert fields[1] == "SlackViolation"
     rows = (tmp_path / "out" / "p3_trace.csv").read_text().splitlines()[2:]
-    assert 1 <= len(rows) <= 5
+    assert len(rows) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_fails_where_projection_probes_overflow(tmp_path, capsys):
+    # pushed by 1e200, y_1 is so far out that the projection's VI probes
+    # overflow to NaN; that proves nothing, so the projection has not
+    # converged and the run ends at step 1 as an inner-solver failure
+    path = _perturbed_p3(tmp_path, "1.0e+200")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+    fields = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert fields[1] == "InnerSolverFailure"
+    rows = (tmp_path / "out" / "p3_trace.csv").read_text().splitlines()[2:]
+    assert len(rows) == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -175,6 +187,22 @@ def test_suite_contains_numerical_errors(tmp_path, capsys, parallel):
 def test_suite_empty_directory(tmp_path, capsys):
     code = main(["suite", str(tmp_path), "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+def test_suite_missing_directory(tmp_path, capsys):
+    code = main(["suite", str(tmp_path / "missing"), "--out", str(tmp_path / "out")])
+    assert code == 5
+    assert "not a directory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [["--fuzz", "-1"], ["--nmax", "3"]])
+def test_verify_lemmas_rejects_arguments_it_cannot_honour(capsys, args):
+    # as argparse rejects any other bad argument: usage, the error, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemmas", *args])
+    assert exc.value.code == 2
+    assert "needs --nmax at least 4 and --fuzz at least 0" in capsys.readouterr().err
 
 
 def test_verify_lemmas(capsys):

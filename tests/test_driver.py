@@ -32,6 +32,7 @@ from halpernlp import (
 )
 import halpernlp.driver as driver
 import halpernlp.geometry as geometry
+import halpernlp.operators as operators
 from halpernlp.geometry import NormedPoint, _power_norm
 from halpernlp.driver import TRACE_COLUMNS
 from halpernlp.experiments import config_from_dict, parse_config
@@ -357,11 +358,7 @@ class TestCarriedDuals:
         monkeypatch.setattr(geometry.LpSpace, "check", counted_check)
         for kernel in ("_power_norm", "_dual_map"):
             original = getattr(geometry, kernel)
-
-            def counted(*args, _f=original, _k=kernel):
-                counts[_k] += 1
-                return _f(*args)
-
+            counted = _counting(counts, kernel, original)
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name.startswith("halpernlp") and getattr(mod, kernel, None) is original:
                     monkeypatch.setattr(mod, kernel, counted)
@@ -382,6 +379,34 @@ class TestCarriedDuals:
         assert counts["check"] <= checks * steps + (6 if blend else 5)
         assert counts["norm_rows"] == 2 * steps + (steps - 1 if blend else 0)
         assert counts["dual_rows"] == (steps if blend else 0)
+
+    @pytest.mark.parametrize(
+        "name, evaluations", [("p1", 3054), ("p2_divergent", 3649), ("p3", 5567), ("p4_line", 883)]
+    )
+    def test_operator_evaluations_per_run(self, monkeypatch, name, evaluations):
+        # A is evaluated once per residual Newton forms.  On these runs every
+        # Newton step is taken in full, so a solve that stops at iteration k
+        # forms k - 1 trial residuals, and its start residual.  A resolvent
+        # answer carries J z + r A z, and the next step's solve, warm-started
+        # from it with the same r, takes its start residual from there: with
+        # r_n = 1 only the first step evaluates A at its start.  p2_divergent's
+        # r_n = n changes at every step, so each of its solves evaluates its start
+        counts = {"evaluate": 0}
+        evaluate = operators._AffineOperator.evaluate
+        monkeypatch.setattr(operators._AffineOperator, "evaluate", _counting(counts, "evaluate", evaluate))
+        trace = run_halpern(parse_config(CONFIG_DIR / f"{name}.yaml").halpern)
+        carried = 0 if name == "p2_divergent" else trace.iterations - 1
+        assert counts["evaluate"] == evaluations == int(trace.inner_iters.sum()) - carried
+
+
+def _counting(counts, key, f):
+    """f, counting its calls in counts[key]."""
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return f(*args, **kwargs)
+
+    return counted
 
 
 def shipped_config(name, **over):
@@ -409,7 +434,7 @@ class TestBlockResiduals:
         [
             ("p1", {}, RunStatus.CONVERGED, 2140, 5),
             ("p1", {"budgets.max_iter": 500}, RunStatus.MAX_ITER, 500, 1),
-            ("p3", {"debug.perturb_step": 1.0e200}, RunStatus.SLACK_VIOLATION, 5, 0),
+            ("p3", {"debug.perturb_step": 1.0}, RunStatus.SLACK_VIOLATION, 2, 0),
             ("p1", {"space.p": 1.1}, RunStatus.INNER_SOLVER_FAILURE, 13, 0),
             ("p3", {}, RunStatus.CONVERGED, 4279, 10),
             ("p3", {"space.p": 1.5}, RunStatus.CONVERGED, 11341, 27),

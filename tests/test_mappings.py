@@ -162,6 +162,20 @@ class TestSequences:
         b = apply_indexed(space, seq, 17, x).point
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("param", ["r", "beta"])
+    def test_at_reuses_its_map_while_the_parameter_holds(self, quad_op, param):
+        # a run asks for S_n at every step; a map is built only when r_n (or
+        # beta_n) changes, and it carries the new value
+        sched = AlternatingSchedule(0.25, 0.5)
+        if param == "r":
+            seq = ResolventSequence(op=quad_op, r_schedule=sched)
+        else:
+            seq = BlendSequence(inner=ResolventMap(op=quad_op, r=1.0), beta_schedule=sched)
+        maps = [seq.at(n) for n in (1, 1, 2, 4, 5)]
+        assert maps[0] is maps[1] and maps[2] is maps[3]
+        assert maps[1] is not maps[2] and maps[3] is not maps[4]
+        assert [getattr(m, param) for m in maps] == [0.25, 0.25, 0.5, 0.5, 0.25]
+
     def test_common_fixed_point(self, space, quad_op):
         seq = ResolventSequence(op=quad_op, r_schedule=ConstantSchedule(1.0))
         z = quad_op.zero_set(space)

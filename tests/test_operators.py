@@ -256,6 +256,46 @@ class TestCarriedDuals:
             assert (normed.residual, normed.inner_iterations) == (
                 plain.residual, plain.inner_iterations)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+    def test_a_carried_warm_start_reaches_the_same_answer(self, monkeypatch, rng, p):
+        # a Newton answer carries J z + r A z; a solve for the same op and r
+        # starts from it without evaluating A, any other forms its start
+        # residual anew, and either gives the answer of a plain NormedPoint start
+        evaluations = []
+        evaluate = operators._AffineOperator.evaluate
+
+        def counted(self, space, x):
+            evaluations.append(self)
+            return evaluate(self, space, x)
+
+        monkeypatch.setattr(operators._AffineOperator, "evaluate", counted)
+        sp = LpSpace(4, p)
+        g = rng.standard_normal((4, 4))
+        ops = [
+            GradientOfQuadratic(q=np.diag(rng.uniform(0.1, 1.0, 4)), c=rng.standard_normal(4)),
+            LinearMonotone(m=g @ g.T + 0.1 * np.eye(4), b=rng.standard_normal(4)),
+        ]
+        reused = 0
+        for (op, other), r0 in itertools.product((ops, ops[::-1]), (1.0, 2.5)):
+            warm = resolvent(sp, op, r0, rng.standard_normal(4)).normed
+            assert isinstance(warm, operators._Carried)
+            x = rng.standard_normal(4)
+            jx = sp.duality_map(x)
+            for to_op, r in ((op, r0), (op, 2.0 * r0), (other, r0)):
+                del evaluations[:]
+                carried = resolvent(sp, to_op, r, x, z0=warm, jx=jx)
+                n_carried = len(evaluations)
+                del evaluations[:]
+                plain = resolvent(sp, to_op, r, x, z0=NormedPoint(*warm), jx=jx)
+                assert carried.point.tobytes() == plain.point.tobytes()
+                assert (carried.residual, carried.inner_iterations, carried.converged) == (
+                    plain.residual, plain.inner_iterations, plain.converged)
+                assert carried.converged and carried.inner_iterations > 1
+                skipped = to_op is op and r == r0
+                assert n_carried == len(evaluations) - skipped
+                reused += skipped
+        assert reused == 4
+
     def test_best_iterate_fallback(self, monkeypatch):
         # two Newton steps: the second lowers ||g||_2 but raises ||g||_q, so
         # the solve returns the first step's iterate

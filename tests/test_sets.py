@@ -674,6 +674,16 @@ class TestGeneralizedProjection:
             assert not _default_probes(dim).flags.writeable
             assert _default_probes(dim) is _default_probes(dim)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the probes overflow
+    def test_probes_that_overflow_do_not_certify(self):
+        # at 1e154 the probes' pairings overflow to NaN, which proves nothing:
+        # the residual is inf and the projection has not converged
+        sp, cset = LpSpace(10, 3.0), HalfSpace(a=np.ones(10), b=0.5)
+        x = 1e154 * np.linspace(-1.0, 1.3, 10)
+        res = generalized_projection(sp, cset, x, rng=np.random.default_rng(0))
+        assert res.vi_residual == np.inf and not res.converged
+        assert cset.vi_residual(sp, x, res.point, np.random.default_rng(0)) == np.inf
+
     def test_batched_vi_probes_match_one_probe_at_a_time(self, rng):
         # the batch draws the same probes as one standard_normal(dim) per probe
         sp = LpSpace(4, 3.0)
