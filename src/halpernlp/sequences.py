@@ -1,5 +1,6 @@
-"""Real-sequence tools: the summability recursion, rise-index selection
-with verified certificates, and the odd/even counterexample sequence.
+"""Real-sequence tools: the summability recursion over array schedules,
+rise-index selection with verified certificates (a running maximum built and
+checked on stacks of prefixes at once), and the odd/even counterexample.
 
 Indices are 1-based throughout, matching the usual statement of these
 results; a prefix of length N covers indices 1..N and a "rise" at k
@@ -72,30 +73,69 @@ class ConvergentEvidence:
     cauchy_tol: float
 
 
+def _running_rise_index(v: np.ndarray) -> np.ndarray:
+    """tau(n) = max{k <= n : xi_k < xi_{k+1}} of each row, 0 before its first
+    rise: the running maximum of "k where a rise sits at k, else 0", with no
+    rise at N, so tau(N) = tau(N - 1)."""
+    marks = np.zeros(v.shape, dtype=np.int64)
+    np.multiply(v[:, :-1] < v[:, 1:], np.arange(1, v.shape[1]), out=marks[:, :-1])
+    return np.maximum.accumulate(marks, axis=1)
+
+
+def _check_rows(v: np.ndarray, tau: np.ndarray, n_start: np.ndarray, start_index: np.ndarray):
+    """Flags (monotone, divergent, rise, domination) of each row's selection
+    tau(n) = tau[i, n - 1] for n_start <= n <= L, against v (m x N, L <= N):
+    entries before n_start are masked, and domination before start_index.
+    Raises AssertionError naming the flags of the first row that fails."""
+    ns = np.arange(1, tau.shape[1] + 1)
+    masked = ns < n_start[:, None]
+    hi = np.take_along_axis(v, tau, axis=1)  # xi_{tau(n)+1}
+    monotone = ((tau[:, 1:] >= tau[:, :-1]) | masked[:, :-1]).all(axis=1)
+    divergent = (n_start >= ns.size) | (
+        tau[:, -1] >= np.take_along_axis(tau, n_start[:, None] - 1, axis=1)[:, 0])
+    rise = ((np.take_along_axis(v, tau - 1, axis=1) <= hi) | masked).all(axis=1)
+    domination = ((v[:, :ns.size] <= hi) | masked | (ns < start_index[:, None])).all(axis=1)
+    if not (ok := monotone & rise & domination).all():
+        i = np.argmin(ok)
+        raise AssertionError(
+            "rise-index construction failed its own verification; flags: "
+            f"monotone={monotone[i]} rise={rise[i]} domination={domination[i]}")
+    return np.array([monotone, divergent, rise, domination])
+
+
+def rise_selections(values: np.ndarray, cauchy_tol: float | None = None):
+    """mainge_tau (or, given cauchy_tol, eventually_increasing_tau) of each row
+    of values (m x N), built and verified in one pass over the stack.
+
+    Returns (tau, n_start, start_index, flags, tail_oscillation): tau[i, n - 1]
+    = tau(n) for n >= n_start[i], 0 where row i gets no certificate.  A row's
+    start_index is its first rise, the first nonzero entry of its running-max
+    tau; with cauchy_tol, tau(n) = tau(first) before it and n_start is 1.
+    """
+    v = np.asarray(values, dtype=float)
+    tau = _running_rise_index(v)
+    first = np.take_along_axis(tau, np.argmax(tau > 0, axis=1)[:, None], axis=1)[:, 0]
+    n_start, osc = first, None
+    if cauchy_tol is not None:
+        tail = v[:, -max(v.shape[1] // 4, 1):]
+        osc = tail.max(axis=1) - tail.min(axis=1)
+        n_start = ((osc > cauchy_tol) & (first > 0)).astype(np.int64)
+        tau = np.maximum(tau, first[:, None])
+    live = n_start > 0
+    flags = _check_rows(v[live], tau[live], n_start[live], first[live])
+    return tau, n_start, first, flags, osc
+
+
 def _verify_certificate(prefix: RealSequencePrefix, tau: np.ndarray,
                         n_start: int, start_index: int) -> TauCertificate:
-    v = prefix.values
-    n_end = n_start + tau.size - 1
-    monotone = bool(np.all(np.diff(tau) >= 0))
-    divergent = bool(tau.size < 2 or tau[-1] >= tau[0])
-    rise = bool(np.all(v[tau - 1] <= v[tau]))  # xi_tau(n) <= xi_{tau(n)+1}
-    ns = np.arange(max(start_index, n_start), n_end + 1)
-    domination = bool(np.all(v[ns - 1] <= v[tau[ns - n_start]]))  # xi_n <= xi_{tau(n)+1}
-    cert = TauCertificate(
-        tau=tau,
-        n_start=n_start,
-        start_index=start_index,
-        monotone=monotone,
-        divergent_prefix_evidence=divergent,
-        rise=rise,
-        domination=domination,
-    )
-    if not (monotone and rise and domination):
-        raise AssertionError(
-            "rise-index construction failed its own verification; "
-            f"flags: monotone={monotone} rise={rise} domination={domination}"
-        )
-    return cert
+    row = np.concatenate([np.zeros(n_start - 1, dtype=tau.dtype), tau])[None]
+    flags = _check_rows(prefix.values[None], row, np.array([n_start]), np.array([start_index]))
+    return TauCertificate(tau, n_start, start_index, *flags[:, 0].tolist())
+
+
+def _certificate(tau, n_start, start_index, flags) -> TauCertificate:
+    n0 = int(n_start[0])
+    return TauCertificate(tau[0, n0 - 1:], n0, int(start_index[0]), *flags[:, 0].tolist())
 
 
 def mainge_tau(prefix: RealSequencePrefix):
@@ -104,15 +144,10 @@ def mainge_tau(prefix: RealSequencePrefix):
     Returns a verified TauCertificate, or NoRiseEvidence when the prefix
     has no rise at all (the hypothesis of the lemma is unmet).
     """
-    v = prefix.values
-    rises = np.flatnonzero(v[:-1] < v[1:]) + 1  # 1-based rise indices
-    if rises.size == 0:
+    tau, n_start, start_index, flags, _ = rise_selections(prefix.values[None])
+    if not n_start[0]:
         return NoRiseEvidence(length=len(prefix))
-    first = int(rises[0])
-    # the last rise index <= n, for n = first .. len(prefix)
-    ns = np.arange(first, len(prefix) + 1)
-    tau = rises[np.searchsorted(rises, ns, side="right") - 1]
-    return _verify_certificate(prefix, tau, n_start=first, start_index=first)
+    return _certificate(tau, n_start, start_index, flags)
 
 
 def eventually_increasing_tau(prefix: RealSequencePrefix, cauchy_tol: float):
@@ -126,19 +161,10 @@ def eventually_increasing_tau(prefix: RealSequencePrefix, cauchy_tol: float):
     """
     if cauchy_tol <= 0:
         raise ValueError("cauchy_tol must be positive")
-    v = prefix.values
-    tail = v[-max(len(prefix) // 4, 1):]
-    osc = float(np.max(tail) - np.min(tail))
-    if osc <= cauchy_tol:
-        return ConvergentEvidence(tail_oscillation=osc, cauchy_tol=cauchy_tol)
-    base = mainge_tau(prefix)
-    if isinstance(base, NoRiseEvidence):
-        return ConvergentEvidence(tail_oscillation=osc, cauchy_tol=cauchy_tol)
-    pad = np.full(base.n_start - 1, base.tau_of(base.n_start), dtype=int)
-    tau = np.concatenate([pad, base.tau])
-    return _verify_certificate(
-        prefix, tau, n_start=1, start_index=base.start_index
-    )
+    tau, n_start, start_index, flags, osc = rise_selections(prefix.values[None], cauchy_tol)
+    if not n_start[0]:
+        return ConvergentEvidence(float(osc[0]), cauchy_tol)
+    return _certificate(tau, n_start, start_index, flags)
 
 
 def example_sequence(n: int) -> float:
@@ -211,16 +237,23 @@ def xu_recursion(xi1: float, alpha, gamma, n_steps: int) -> RealSequencePrefix:
     """Equality-case orbit xi_{n+1} = (1 - a_n) xi_n + a_n g_n.
 
     With a_n in [0, 1] summing divergently and limsup g_n <= 0, the orbit
-    tends to 0; the returned prefix holds xi_1 .. xi_{n_steps}.
+    tends to 0; the returned prefix holds xi_1 .. xi_{n_steps}.  alpha and
+    gamma are array schedules: each is called on blocks of at most 2,048
+    indices (an int array) and may return a scalar, which broadcasts.
     """
     if xi1 < 0:
         raise ValueError("the recursion is stated for nonnegative xi_1")
     out = np.empty(n_steps)
     xi = float(xi1)
-    for n in range(1, n_steps + 1):
-        out[n - 1] = xi
-        a = float(alpha(n))
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha_{n} = {a} outside [0, 1]")
-        xi = (1.0 - a) * xi + a * float(gamma(n))
+    for lo in range(1, n_steps + 1, 2048):
+        ns = np.arange(lo, min(lo + 2048, n_steps + 1))
+        a = np.broadcast_to(np.asarray(alpha(ns), dtype=float), ns.shape)
+        bad = np.flatnonzero(~((a >= 0.0) & (a <= 1.0)))
+        if bad.size:
+            raise ValueError(f"alpha_{ns[bad[0]]} = {float(a[bad[0]])} outside [0, 1]")
+        seg = []
+        for c, d in zip((1.0 - a).tolist(), (a * np.asarray(gamma(ns), dtype=float)).tolist()):
+            seg.append(xi)
+            xi = c * xi + d
+        out[lo - 1:lo - 1 + ns.size] = seg
     return RealSequencePrefix(out)

@@ -399,7 +399,7 @@ def test_criterion_10_sequence_lemmas():
 
     t0 = time.perf_counter()
     orbit = xu_recursion(
-        1.0, lambda n: min(1.0, 1.0 / np.sqrt(n)), lambda n: 1.0 / n, 100_000
+        1.0, lambda n: np.minimum(1.0, 1.0 / np.sqrt(n)), lambda n: 1.0 / n, 100_000
     )
     tail = float(orbit.values[-1])
     gate.expect(tail <= 1e-3, f"recursion tail {tail:.2e} > 1e-3")

@@ -205,6 +205,29 @@ def test_verify_lemmas_rejects_arguments_it_cannot_honour(capsys, args):
     assert "needs --nmax at least 4 and --fuzz at least 0" in capsys.readouterr().err
 
 
+def test_verify_lemmas_rejects_a_negative_seed(capsys):
+    # np.random.default_rng cannot take it: a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "-1", "verify-lemmas"])
+    assert exc.value.code == 2
+    assert "needs a nonnegative --seed" in capsys.readouterr().err
+
+
+def test_run_keeps_its_config_error_for_a_negative_seed(tmp_path, capsys):
+    code = main(["--seed", "-1", "run", str(CONFIG_DIR / "p4_line.yaml"), "--out", str(tmp_path)])
+    assert code == 5
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parallel", ["0", "-2"])
+def test_suite_rejects_parallel_below_one(tmp_path, capsys, parallel):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", str(CONFIG_DIR), "--parallel", parallel, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "needs --parallel at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_lemmas(capsys):
     code = main(["verify-lemmas", "--nmax", "1000", "--fuzz", "50"])
     out = capsys.readouterr().out
