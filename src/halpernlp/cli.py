@@ -60,10 +60,9 @@ def _fuzz_certificates(count: int, rng: np.random.Generator) -> tuple[int, int]:
     bad_osc = bad_mono = 0
     for b in blocks:
         vals = np.abs(rng.standard_normal((b, 200))) + 0.1
-        # [1] is n_start, 0 where a row gets no certificate; every row must get
-        # one, and mainge_tau's selections must pass their checks (else a raise)
+        # [1] is n_start, 0 where a row gets no certificate; every row must get one, and its
+        # selection must pass its checks from n = 1 on, a superset of mainge_tau's (else a raise)
         bad_osc += int(np.count_nonzero(rise_selections(vals, 1e-6)[1] == 0))
-        rise_selections(vals)
     for b in blocks:
         drops = np.abs(rng.standard_normal((b, 200))) + 1e-3
         vals = 10.0 + np.concatenate([np.zeros((b, 1)), -np.cumsum(drops[:, :-1], axis=1)], axis=1)

@@ -6,8 +6,9 @@ One generic loop drives both:
     x_{n+1} = Q_C(y_n)
 
 with S_n a resolvent sequence (proximal-point scheme, C the whole
-space) or a blend sequence (Halpern-Mann scheme).  The limit is the
-generalized projection of the anchor u onto the common fixed-point set.
+space) or a blend sequence (Halpern-Mann scheme).  The limit is
+w = Q_F(u), the generalized projection of the anchor u onto the common
+fixed-point set F, a ConvexSet: one certified projection at set-up.
 
 Each step records the two theorem-bearing inequality slacks
 
@@ -53,22 +54,13 @@ class RunStatus(enum.Enum):
     SLACK_VIOLATION = "SlackViolation"
 
 
-def reference_solution(space: LpSpace, fixed_set, u) -> np.ndarray:
-    """w = Q_F(u) for F a known point or a ConvexSet of fixed points."""
-    u = space.check(u)
-    if isinstance(fixed_set, ConvexSet):
-        res = generalized_projection(space, fixed_set, u)
-        if not res.converged:
-            raise RuntimeError(
-                "generalized projection onto the fixed-point set did not "
-                f"converge (VI residual {res.vi_residual:.3e})"
-            )
-        return res.point
-    if isinstance(fixed_set, np.ndarray) or np.ndim(fixed_set) == 1:
-        return space.check(fixed_set)
-    raise ValueError(
-        f"unsupported fixed-point description: {type(fixed_set).__name__}"
-    )
+def reference_solution(space: LpSpace, fixed_set: ConvexSet, u) -> np.ndarray:
+    """w = Q_F(u), certified, for F the ConvexSet of fixed points; generalized_projection checks u."""
+    res = generalized_projection(space, fixed_set, u)
+    if not res.converged:
+        raise RuntimeError("generalized projection onto the fixed-point set did not "
+                           f"converge (VI residual {res.vi_residual:.3e})")
+    return res.point
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +95,8 @@ class HalpernConfig:
             raise ValueError("perturb_step must be finite")
         if not self.constraint.contains(self.start):
             raise ValueError("x_1 must lie in the constraint set")
-        w = reference_solution(
-            self.space, self.sequence.fixed_point_reference(self.space), self.anchor
-        )
         space = self.space
+        w = reference_solution(space, self.sequence.fixed_point_reference(space), self.anchor)
         ju = space.duality_map(self.anchor)
         for name, value in (
             ("reference", w),
@@ -154,7 +144,6 @@ class IterationTrace:
     inner_iters: np.ndarray
     uc_ft_gap: np.ndarray | None  # blend-scheme convexity gap, when applicable
     j_gap: np.ndarray | None  # ||J x_n - J T_n x_n||_q, with uc_ft_gap
-    snapshots: list  # (n, x_n) down-sampled full iterates
     boundedness_violation: float  # max over steps of phi(w,x_n) - bound
     final_error: float = math.inf  # ||x_final - w||_p
     final_phi: float = math.inf  # phi(w, x_final)
@@ -186,13 +175,12 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
     which can differ from J of x_n at rounding level, so a step replays a
     run's step exactly only when given that carried state.
 
-    ||S_n x_n|| and J S_n x_n come from the mapping when it carries them
-    (a resolvent's answer, or a blend's dual combination); otherwise the
-    step computes them.  The diagnostics hold S_n x_n as the NormedPoint "image"
-    (x None for a blend), a blend's J x_n - J T_n x_n as "j_diff", x_{n+1} - w as "next_minus_w".
+    ||S_n x_n|| and J S_n x_n come from the mapping's result (a resolvent's
+    answer, a projection's point, or a blend's dual combination).  The
+    diagnostics hold S_n x_n as the NormedPoint "image" (x None for a blend),
+    a blend's J x_n - J T_n x_n as "j_diff", x_{n+1} - w as "next_minus_w".
     """
     space = cfg.space
-    p = space.p
     w = cfg.reference
     x = np.asarray(x, dtype=float)
     a = cfg.alpha(n)
@@ -204,7 +192,7 @@ def halpern_step(cfg: HalpernConfig, n: int, x: np.ndarray, prev=None):
         warm, xn, phi_w_xn = prev["warm"], prev["next"], prev["phi_w_next"]
         jx = xn.jx
     applied = mapping.apply(space, x, warm=warm, jx=jx)
-    image = applied.normed if applied.normed is not None else _normed(applied.point, p)
+    image = applied.normed
     jy = a * cfg.anchor_dual + (1.0 - a) * image.jx
     ny = _power_norm(jy, space.q)  # ||y||_p, non-finite if a coordinate of jy is
     if prev is None:
@@ -258,8 +246,6 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
     cols = {attr: [] for attr, _, _ in TRACE_COLUMNS}
     uc_gaps: list[float] = []
     j_gaps: list[float] = []
-    snapshots = []
-    stride = max(1, math.ceil(cfg.max_iter / 1000))
     block = max(1, _RESIDUAL_BLOCK // space.dim)
     pending = []  # (x_n, y_n, S_n x_n's "image") of the steps whose residuals are not formed
     j_diffs = []  # J x_n - J T_n x_n of the blend steps whose J gap is not formed
@@ -298,8 +284,6 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
         pending.append((x, y, diag["image"]))
         if len(pending) == block:
             form_block()
-        if n % stride == 0 or n == 1:
-            snapshots.append((n, x.copy()))
         excess = diag["phi_w_x"] - bound
         bound_violation = max(bound_violation, excess)
         n_done = n
@@ -329,7 +313,6 @@ def run_halpern(cfg: HalpernConfig) -> IterationTrace:
         },
         uc_ft_gap=np.asarray(uc_gaps) if uc_gaps else None,
         j_gap=np.asarray(j_gaps) if uc_gaps else None,
-        snapshots=snapshots,
         boundedness_violation=bound_violation,
         final_error=space.norm(x - w),
         final_phi=space.lyapunov(w, x),

@@ -4,7 +4,8 @@ A mapping here is "of type (r)": it has fixed points and never increases
 the Lyapunov distance phi(p, .) to any of them.  Implemented variants
 are resolvents, generalized projections, and the dual-coordinate blend
 S = J^{-1}(beta J + (1 - beta) J T).  Sequences of such mappings (with a
-common fixed-point set) are what the iteration drivers consume.
+common fixed-point set, a ConvexSet) are what the iteration drivers consume.
+Every ``apply`` result carries J x, and S x with its norm and J.
 
 The blend is defined in the dual: S x = J_q v for v = beta Jx + (1 - beta) JTx,
 so J S x is v itself and ||S x||_p = ||v||_q.  Its ``apply`` forms only these
@@ -32,8 +33,8 @@ class ApplyResult:
     _point: np.ndarray | None  # S x; for a blend, J_q of normed.jx, formed when read
     converged: bool
     inner_iterations: int
-    jx: np.ndarray | None = None  # J of the input point, if the mapping used it
-    normed: NormedPoint | None = None  # the point with its norm and J, if known
+    jx: np.ndarray | None = None  # J of the input point
+    normed: NormedPoint | None = None  # the point with its norm and J
     warm: NormedPoint | None = None  # where the next application's inner solve starts
     inner: NormedPoint | None = None  # for a blend, T x with its norm and J
     q: float | None = None  # the dual exponent, for a point formed from ``normed``
@@ -52,7 +53,7 @@ class Mapping:
         raise NotImplementedError
 
     def fixed_point_reference(self, space: LpSpace):
-        """A known fixed point, or a ConvexSet of them."""
+        """The ConvexSet of fixed points."""
         raise NotImplementedError
 
     def step_diagnostics(self, space: LpSpace, nx: float, applied: ApplyResult) -> dict:
@@ -83,7 +84,8 @@ class ProjectionMap(Mapping):
 
     def apply(self, space, x, warm=None, jx=None):
         res = generalized_projection(space, self.cset, x)
-        return ApplyResult(res.point, res.converged, res.inner_iterations)
+        jx = space.duality_map(x) if jx is None else jx
+        return ApplyResult(res.point, res.converged, res.inner_iterations, jx, _normed(res.point, space.p))
 
     def fixed_point_reference(self, space):
         return self.cset  # every point of C is fixed
@@ -102,15 +104,14 @@ class BlendMap(Mapping):
 
     def apply(self, space, x, warm=None, jx=None):
         if self.beta == 1.0:
-            return ApplyResult(space.check(x).copy(), True, 0, warm=warm)
+            sx = _normed(space.check(x).copy(), space.p)
+            return ApplyResult(sx.x, True, 0, sx.jx if jx is None else jx, sx, warm)
         tx = self.inner.apply(space, x, warm=warm, jx=jx)
-        jx = tx.jx if tx.jx is not None else space.duality_map(x)
-        t = tx.normed if tx.normed is not None else _normed(tx.point, space.p)
-        v = self.beta * jx + (1.0 - self.beta) * t.jx  # J S x
+        v = self.beta * tx.jx + (1.0 - self.beta) * tx.normed.jx  # J S x
         sx = NormedPoint(None, _power_norm(v, space.q), v)  # ||S x||_p = ||v||_q
         # the next inner solve starts from T x, not from the blend output,
         # which lies between x and T x
-        return ApplyResult(None, tx.converged, tx.inner_iterations, jx, sx, tx.warm, t, space.q)
+        return ApplyResult(None, tx.converged, tx.inner_iterations, tx.jx, sx, tx.warm, tx.normed, space.q)
 
     def fixed_point_reference(self, space):
         return self.inner.fixed_point_reference(space)

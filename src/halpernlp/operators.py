@@ -5,7 +5,8 @@ defined on the whole space (hence maximal).  The resolvent
 L_r = (J + rA)^{-1} J solves J z + r A z = J x; linear cases at p = 2
 use a direct solve, the duality-residual variant has a closed form, and
 the rest use a damped Newton iteration on the residual with analytic
-Jacobians and Levenberg regularization.
+Jacobians and Levenberg regularization.  A zero set is an AffineSet: a
+singleton, with no directions, for a unique zero.
 
 The Jacobian of J is diagonal plus rank one.  When the operator's
 Jacobian is a constant diagonal matrix (``GradientOfQuadratic`` or
@@ -73,7 +74,7 @@ class MonotoneOperator:
         raise NotImplementedError
 
     def zero_set(self, space: LpSpace):
-        """A^{-1}0 as a point or an AffineSet; raises if empty."""
+        """A^{-1}0 as a ConvexSet; raises if empty."""
         raise NotImplementedError
 
     def closed_form_resolvent(self, space: LpSpace, r: float, x, jx):
@@ -82,14 +83,12 @@ class MonotoneOperator:
 
 
 def _affine_zero_set(m: np.ndarray, rhs: np.ndarray):
-    """Solution set of m @ x = rhs: a point, an AffineSet, or None if empty."""
+    """Solution set of m @ x = rhs as an AffineSet, or None if empty."""
     sol, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     if not np.allclose(m @ sol, rhs, atol=1e-8):
         return None
     u, s, vt = np.linalg.svd(m)
     null = vt[s <= 1e-12 * max(float(s[0]), 1.0)] if s.size else vt
-    if null.shape[0] == 0:
-        return sol
     return AffineSet(point=sol, directions=null)
 
 
@@ -156,7 +155,7 @@ class DualityResidual(MonotoneOperator):
         return _dual_map(x, space.p) - _dual_map(self.z, space.p)
 
     def zero_set(self, space):
-        return self.z.copy()
+        return AffineSet(self.z, [])
 
     def closed_form_resolvent(self, space, r, x, jx):
         # Jz + r(Jz - Jz0) = Jx  =>  Jz = (Jx + r Jz0) / (1 + r)

@@ -29,11 +29,6 @@ class RealSequencePrefix:
     def __len__(self):
         return self.values.size
 
-    def at(self, k: int) -> float:
-        if not 1 <= k <= len(self):
-            raise IndexError(f"index {k} outside prefix 1..{len(self)}")
-        return float(self.values[k - 1])
-
 
 @dataclass(frozen=True, eq=False)
 class TauCertificate:

@@ -63,6 +63,14 @@ def _probe_reach(dim: int) -> float:
     return float(np.max(np.linalg.norm(_default_probes(dim), axis=1)))  # of a default draw
 
 
+def _checked(name: str, v, inf_ok: bool = False) -> np.ndarray:
+    """v as floats; a ValueError names it if a coordinate is NaN, or infinite unless inf_ok."""
+    v = np.asarray(v, dtype=float)
+    if not (~np.isnan(v) if inf_ok else np.isfinite(v)).all():
+        raise ValueError(f"{name} must be {'free of NaN' if inf_ok else 'finite'}")
+    return v
+
+
 class ConvexSet:
     """Base for the canonical nonempty closed convex sets."""
 
@@ -124,11 +132,11 @@ class HalfSpace(ConvexSet):
     b: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        a = _checked("half-space normal a", self.a)
         if not np.any(a):
             raise ValueError("half-space normal must be nonzero")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", float(_checked("half-space offset b", self.b)))
         object.__setattr__(self, "_aa", float(np.dot(a, a)))
         object.__setattr__(self, "_norm_a", math.sqrt(self._aa))
         object.__setattr__(self, "_unit_normal", a / self._norm_a)
@@ -175,8 +183,8 @@ class Box(ConvexSet):
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
+        lo = _checked("box bound lo", self.lo, inf_ok=True)
+        hi = _checked("box bound hi", self.hi, inf_ok=True)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-d arrays of equal length")
         if np.any(lo > hi):
@@ -261,8 +269,8 @@ class EuclideanBall(ConvexSet):
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if self.radius <= 0:
+        c = _checked("ball center", self.center)
+        if not self.radius > 0:  # also for a NaN radius
             raise ValueError("ball radius must be positive")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
@@ -362,8 +370,8 @@ class AffineSet(ConvexSet):
     directions: np.ndarray  # shape (k, dim), rows spanning the direction space
 
     def __post_init__(self):
-        p = np.asarray(self.point, dtype=float)
-        d = np.asarray(self.directions, dtype=float)
+        p = _checked("affine point", self.point)
+        d = _checked("affine directions", self.directions)
         if d.size == 0:
             d = np.zeros((0, p.shape[0]))
         if d.shape[1] != p.shape[0]:
@@ -377,7 +385,7 @@ class AffineSet(ConvexSet):
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "_basis", basis)
         k = basis.shape[0]  # the complement's orthonormal rows follow the basis in the SVD
-        object.__setattr__(self, "_complement", np.linalg.svd(basis)[2][k:] if k else np.eye(p.shape[0]))
+        object.__setattr__(self, "_complement", np.linalg.svd(basis)[2][k:] if k else None)
 
     @property
     def dim(self) -> int:
@@ -403,9 +411,10 @@ class AffineSet(ConvexSet):
         coordinates, while that of J_q is bounded, so Newton runs on the
         dual problem: y = J_q(Jx + complement' mu), where mu minimizes
         ||Jx + complement' mu||_q^2 / 2 - <Jx + complement' mu, point>,
-        from mu = 0.
+        from mu = 0.  A singleton stores no complement: the primal solve
+        returns its point, at 0 iterations.
         """
-        if space.p > 2.0:  # the answer is z
+        if space.p > 2.0 or self._complement is None:  # the answer is z
             z, _, k, stopped = _newton_in_span(self.euclidean_project(x), self._basis, space.p, jx)
             return z, k, stopped
         return _newton_in_span(jx, self._complement, space.q, self.point)[1:]  # J_q z is the answer

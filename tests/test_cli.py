@@ -116,6 +116,24 @@ def test_run_contains_numerical_errors(tmp_path, capsys, make, run_id, error):
         run_experiment(parse_config(path), tmp_path / "lib")
 
 
+def test_run_rejects_an_anchor_whose_norm_overflows(tmp_path, capsys):
+    # ||u||_3 overflows, so J u is not finite.  The reference w = Q_F(u) is a
+    # projection also onto a unique zero, and it checks u at set-up: the config
+    # is rejected (exit 5) before any step runs
+    path = tmp_path / "u_overflow.yaml"
+    text = (CONFIG_DIR / "p4_line.yaml").read_text()
+    for old, new in [
+        ("q_diag: [1.0, 0.5, 0.0]", "q_diag: [1.0, 0.5, 0.25]"),
+        ("u: [0.0, 0.0, 2.0]", "u: [1.5e+308, 1.5e+308, 1.0]"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 5
+    assert "the p-norm of the point overflows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf / inf in the norms
 def test_run_contains_a_non_finite_blend_after_the_first_step(tmp_path, capsys, monkeypatch):
     # from step 2 on the driver takes y_n = J^{-1} jy from the anchor blend jy

@@ -12,6 +12,7 @@ from halpernlp import (
     ConstantSchedule,
     DriftSchedule,
     DualityResidual,
+    EuclideanBall,
     GradientOfQuadratic,
     LinearMonotone,
     LinearSchedule,
@@ -24,7 +25,7 @@ from halpernlp import (
     WholeSpace,
 )
 from halpernlp import schedules
-from halpernlp.geometry import NormedPoint
+from halpernlp.geometry import NormedPoint, _normed
 from halpernlp.mappings import ApplyResult, MappingSequence
 from halpernlp.operators import resolvent
 from halpernlp.schedules import (
@@ -65,18 +66,18 @@ def srns_diagnostic(space: LpSpace, seq: MappingSequence, xs, p_hat) -> SrnsRepo
     return SrnsReport(d, e, flagged)
 
 
-def reference_points(space: LpSpace, ref, rng=None):
-    """Materialize a fixed-point reference as a list of concrete points
-    (five for an affine set)."""
-    if isinstance(ref, AffineSet):
-        pts = [ref.point.copy()]
-        if rng is None:
-            rng = np.random.default_rng(0)
-        k = ref.directions.shape[0]
-        for _ in range(4):
-            pts.append(ref.point + rng.standard_normal(k) @ ref.directions)
-        return pts
-    return [space.check(ref)]
+def reference_points(ref, rng=None):
+    """Materialize an affine fixed-point set as a list of concrete points
+    (one for a singleton, five otherwise)."""
+    k = ref.directions.shape[0]
+    if k == 0:
+        return [ref.point]
+    pts = [ref.point.copy()]
+    if rng is None:
+        rng = np.random.default_rng(0)
+    for _ in range(4):
+        pts.append(ref.point + rng.standard_normal(k) @ ref.directions)
+    return pts
 
 
 @pytest.fixture
@@ -101,6 +102,22 @@ class TestApply:
         x = rng.standard_normal(2)
         np.testing.assert_array_equal(m.apply(space, x).point, x)
 
+    @pytest.mark.parametrize("m", [
+        ProjectionMap(cset=EuclideanBall(center=np.zeros(2), radius=0.5)),
+        ProjectionMap(cset=AffineSet(np.array([0.3, -0.2]), [])),
+        BlendMap(inner=ResolventMap(op=DualityResidual(z=np.ones(2)), r=1.0), beta=1.0),
+    ], ids=["projection-ball", "projection-singleton", "blend-beta-one"])
+    def test_result_carries_jx_and_normed(self, space, rng, m):
+        # J x and S x with its norm and J, as the driver step reads them
+        x = 2.0 * rng.standard_normal(2)
+        res = m.apply(space, x)
+        np.testing.assert_array_equal(res.jx, space.duality_map(x))
+        expected = _normed(res.point, space.p)
+        assert res.normed.x is res.point and res.normed.norm == expected.norm
+        np.testing.assert_array_equal(res.normed.jx, expected.jx)
+        jx = space.duality_map(x)
+        assert m.apply(space, x, jx=jx).jx is jx  # a caller's J x is used as given
+
     def test_resolvent_map_matches_resolvent(self):
         sp = LpSpace(2, 2.0)
         m = ResolventMap(op=LinearMonotone(m=np.eye(2), b=np.zeros(2)), r=1.0)
@@ -123,7 +140,7 @@ class TestApply:
             BlendMap(inner=ResolventMap(op=quad_op, r=1.0), beta=0.5),
         ]
         for m in maps:
-            for p_hat in reference_points(space, m.fixed_point_reference(space)):
+            for p_hat in reference_points(m.fixed_point_reference(space)):
                 for _ in range(1000):
                     x = rng.standard_normal(2) * 2
                     sx = m.apply(space, x).point
@@ -144,7 +161,7 @@ class TestApply:
         # F(S) = F(T) for beta < 1, both directions on the reference point
         inner = ResolventMap(op=quad_op, r=1.0)
         s = BlendMap(inner=inner, beta=0.5)
-        z = quad_op.zero_set(space)
+        z = quad_op.zero_set(space).point
         assert np.linalg.norm(s.apply(space, z).point - z) <= 1e-7
         # a fixed point of S is a fixed point of T
         x = np.array([1.5, -0.5])
@@ -178,7 +195,7 @@ class TestSequences:
 
     def test_common_fixed_point(self, space, quad_op):
         seq = ResolventSequence(op=quad_op, r_schedule=ConstantSchedule(1.0))
-        z = quad_op.zero_set(space)
+        z = quad_op.zero_set(space).point
         for n in (1, 5, 50):
             assert np.linalg.norm(apply_indexed(space, seq, n, z).point - z) <= 1e-8
 
@@ -323,7 +340,7 @@ def test_numeric_check_memory_is_bounded(validate, sched):
 class TestSrnsDiagnostic:
     def test_constant_fixed_point_sequence(self, space, quad_op):
         seq = ResolventSequence(op=quad_op, r_schedule=ConstantSchedule(1.0))
-        z = quad_op.zero_set(space)
+        z = quad_op.zero_set(space).point
         report = srns_diagnostic(space, seq, [z] * 20, z)
         np.testing.assert_allclose(report.d, 0.0, atol=1e-12)
         np.testing.assert_allclose(report.e, 0.0, atol=1e-12)
@@ -332,7 +349,7 @@ class TestSrnsDiagnostic:
     def test_resolvent_iterates_no_flag(self, space, quad_op, rng):
         # feed iterates of the resolvent itself: d_n -> 0 alongside e_n -> 0
         seq = ResolventSequence(op=quad_op, r_schedule=ConstantSchedule(1.0))
-        z = quad_op.zero_set(space)
+        z = quad_op.zero_set(space).point
         xs = []
         x = rng.standard_normal(2) * 2
         for _ in range(200):
@@ -345,7 +362,7 @@ class TestSrnsDiagnostic:
     def test_adversarial_constant_sequence_vacuous(self, space, quad_op):
         # x_n constant away from F: premise d_n -> 0 unmet, so no flag
         seq = ResolventSequence(op=quad_op, r_schedule=ConstantSchedule(1.0))
-        z = quad_op.zero_set(space)
+        z = quad_op.zero_set(space).point
         x0 = z + np.array([3.0, -2.0])
         report = srns_diagnostic(space, seq, [x0] * 30, z)
         assert np.min(report.d) > 1e-6  # premise fails

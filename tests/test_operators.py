@@ -76,12 +76,12 @@ class TestZeroSet:
     def test_duality_residual(self):
         sp = LpSpace(2, 3.0)
         z = np.array([0.5, -1.5])
-        np.testing.assert_allclose(DualityResidual(z=z).zero_set(sp), z)
+        np.testing.assert_allclose(DualityResidual(z=z).zero_set(sp).point, z)
 
     def test_invertible_linear(self):
         sp = LpSpace(2, 2.0)
         op = LinearMonotone(m=np.eye(2), b=np.array([-1.0, -2.0]))
-        np.testing.assert_allclose(op.zero_set(sp), [1.0, 2.0])
+        np.testing.assert_allclose(op.zero_set(sp).point, [1.0, 2.0])
 
     def test_singular_quadratic_gives_line(self):
         sp = LpSpace(2, 2.0)
@@ -89,6 +89,15 @@ class TestZeroSet:
         zs = op.zero_set(sp)
         assert isinstance(zs, AffineSet)
         np.testing.assert_allclose(zs.euclidean_project(np.array([7.0, 3.0])), [2.0, 3.0])
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_a_unique_zero_is_a_singleton(self, p):
+        sp = LpSpace(2, p)
+        for op in (DualityResidual(z=np.array([0.5, -1.5])),
+                   LinearMonotone(m=np.array([[2.0, 1.0], [-1.0, 1.0]]), b=np.array([-1.0, 0.5]))):
+            zs = op.zero_set(sp)
+            assert isinstance(zs, AffineSet) and zs.directions.shape == (0, 2)
+            np.testing.assert_allclose(op.evaluate(sp, zs.point), 0.0, atol=1e-15)
 
     def test_inconsistent_rejected(self):
         sp = LpSpace(2, 2.0)
@@ -105,6 +114,25 @@ class TestResolvent:
         res = resolvent(sp, op, 1.0, np.array([2.0, 4.0]))
         np.testing.assert_allclose(res.point, [1.0, 2.0], atol=1e-12)
         assert res.converged
+
+    def test_a_singular_newton_model_is_regularized(self, monkeypatch):
+        # A = b is constant, so the Newton matrix is the Jacobian of J, whose
+        # diagonal is 0 on the zero coordinate of x: the first direction
+        # raises, and the solve goes on from lam = 1e-8
+        direction, raised = operators._newton_direction, []
+
+        def spy(space, op, r, z, g, lam, rb, rb_positive):
+            try:
+                return direction(space, op, r, z, g, lam, rb, rb_positive)
+            except np.linalg.LinAlgError:
+                raised.append(lam)
+                raise
+
+        monkeypatch.setattr(operators, "_newton_direction", spy)
+        op = LinearMonotone(m=np.zeros((3, 3)), b=np.array([0.5, 0.3, -0.2]))
+        res = resolvent(LpSpace(3, 3.0), op, 1.0, np.array([1.0, 0.0, 2.0]))
+        assert raised[0] == 0.0
+        assert res.converged and res.residual <= tolerances.RESOLVENT_TOL
 
     def test_fixed_point_property(self, rng):
         # x in A^{-1}0 implies L_r x = x

@@ -144,6 +144,38 @@ class TestMembershipAndEuclideanProjection:
         with pytest.raises(ValueError):
             EuclideanBall(center=np.zeros(2), radius=0.0)
 
+    # NaN data would construct a set that contains no point, and a
+    # projection would then fail naming no field
+    def test_ball_rejects_nan_and_infinite_data(self):
+        with pytest.raises(ValueError, match="radius"):
+            EuclideanBall(center=np.zeros(3), radius=np.nan)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="center"):
+                EuclideanBall(center=np.array([0.0, bad, 0.0]), radius=1.0)
+        assert EuclideanBall(center=np.zeros(3), radius=np.inf).contains(np.full(3, 1e100))
+
+    def test_box_rejects_nan_bounds_and_keeps_infinite_ones(self):
+        with pytest.raises(ValueError, match="lo"):
+            Box(lo=np.array([0.0, np.nan, 0.0]), hi=np.ones(3))
+        with pytest.raises(ValueError, match="hi"):
+            Box(lo=np.zeros(3), hi=np.array([np.nan, 1.0, 1.0]))
+        box = Box(lo=np.array([-np.inf, 0.0, 0.0]), hi=np.array([np.inf, np.inf, 1.0]))
+        assert box.contains(np.array([-1e300, 1e300, 0.5]))
+
+    def test_half_space_rejects_non_finite_data(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="normal a"):
+                HalfSpace(a=np.array([1.0, bad, 0.0]), b=0.0)
+            with pytest.raises(ValueError, match="offset b"):
+                HalfSpace(a=np.array([1.0, 0.0, 0.0]), b=bad)
+
+    def test_affine_set_rejects_non_finite_data(self):
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="point"):
+                AffineSet(np.array([0.0, bad]), [])
+            with pytest.raises(ValueError, match="directions"):
+                AffineSet(np.zeros(2), np.array([[1.0, bad]]))
+
     def test_dimension_mismatch(self):
         hs = HalfSpace(a=np.array([1.0, 0.0]), b=0.0)
         with pytest.raises(DimensionMismatchError):
@@ -440,6 +472,19 @@ class TestAffineNewton:
             res = generalized_projection(LpSpace(3, p), single, np.array([3.0, 1.0, -1.0]))
             np.testing.assert_allclose(res.point, single.point, rtol=1e-15)
             assert res.converged
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
+    def test_singleton_solves_at_once_and_stores_no_complement(self, p):
+        # a unique zero or fixed point is a singleton: its projection is its
+        # point's own bytes, with no Newton step, and certifies at once
+        z = np.array([0.7, -1.3, 2.1e-3, 4.0])
+        single = AffineSet(z, [])
+        assert single._complement is None and single._basis.shape == (0, 4)
+        for x in (np.array([3.0, 1.0, -1.0, 0.25]), z.copy()):
+            res = generalized_projection(LpSpace(4, p), single, x)
+            assert res.point.tobytes() == z.tobytes() and res.point is not z
+            assert res.inner_iterations == 0 and res.converged
+            assert isinstance(res, sets._CertifiedProjection)  # no probes formed
 
 
 def ball_vi_gap(space, ball, x, y):
