@@ -195,7 +195,7 @@ _SCHEDULES = {
 }
 _OPERATORS = {
     "gradient_of_quadratic": lambda s: GradientOfQuadratic(
-        q=np.diag(s.field("q_diag", _VECTOR)) if "q_diag" in s.values else s.field("q", _MATRIX),
+        q=s.field("q_diag", _VECTOR) if "q_diag" in s.values else s.field("q", _MATRIX),
         c=s.field("c", _VECTOR),
     ),
     "linear_monotone": lambda s: LinearMonotone(

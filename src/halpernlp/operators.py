@@ -5,14 +5,15 @@ defined on the whole space (hence maximal).  The resolvent
 L_r = (J + rA)^{-1} J solves J z + r A z = J x; linear cases at p = 2
 use a direct solve, the duality-residual variant has a closed form, and
 the rest use a damped Newton iteration on the residual with analytic
-Jacobians and Levenberg regularization.  A zero set is an AffineSet: a
-singleton, with no directions, for a unique zero.
+Jacobians and Levenberg regularization.  An affine B x + b0 keeps a diagonal B
+(a vector, or a matrix with nothing off its diagonal) as that vector; its zero
+set is then a Box, fixed at -b0_i (1/B_i) where B_i != 0 and free where B_i = 0.
+Any other zero set is an AffineSet, a singleton for a unique zero.
 
-The Jacobian of J is diagonal plus rank one.  When the operator's
-Jacobian is a constant diagonal matrix (``GradientOfQuadratic`` or
-``LinearMonotone`` with a diagonal matrix), so is the Newton matrix: r dA
-is formed once per solve and each step solved by Sherman-Morrison in O(dim),
-skipping the positivity scan when r dA > 0.  Otherwise it is solved densely.
+The Jacobian of J is diagonal plus rank one.  When the operator's Jacobian
+is a constant diagonal matrix, so is the Newton matrix: r dA is formed once
+per solve and each step solved by Sherman-Morrison in O(dim), skipping the
+positivity scan when r dA > 0.  Otherwise it is solved densely.
 
 Newton computes ||z||_p and J z once per trial point, in the residual, and
 keeps them with its accepted iterate as a ``NormedPoint``: the Jacobian of J
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LpSpace, NormedPoint, _dual_map, _dual_map_jacobian, _normed, _power_norm
-from .sets import AffineSet
+from .sets import AffineSet, Box
 from . import tolerances
 
 _NEWTON_MAX_ITER = 200
@@ -47,22 +48,12 @@ _NEWTON_GRAD_TOL = 1e-11
 PSD_EIG_TOL = -1e-10
 
 
-def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
-    sym = 0.5 * (m + m.T)
-    if float(np.min(np.linalg.eigvalsh(sym))) < PSD_EIG_TOL:
-        raise ValueError(f"{name} is not positive semidefinite")
-    return m
-
-
 class MonotoneOperator:
     """Single-valued maximal monotone map of the space into its dual.
 
     ``evaluate`` and ``jacobian`` take a checked float array.
-    ``jacobian_diagonal`` is the diagonal of the Jacobian when that is a constant
-    diagonal matrix, else None; ``_diagonal_min`` is its least entry, -inf if unknown.
+    ``jacobian_diagonal`` is the diagonal of the Jacobian, as a vector, when that is
+    a constant diagonal matrix, else None; ``_diagonal_min`` is its least entry, -inf if unknown.
     """
 
     jacobian_diagonal, _diagonal_min = None, -math.inf
@@ -82,43 +73,52 @@ class MonotoneOperator:
         return None
 
 
-def _affine_zero_set(m: np.ndarray, rhs: np.ndarray):
-    """Solution set of m @ x = rhs as an AffineSet, or None if empty."""
-    sol, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    if not np.allclose(m @ sol, rhs, atol=1e-8):
-        return None
-    u, s, vt = np.linalg.svd(m)
-    null = vt[s <= 1e-12 * max(float(s[0]), 1.0)] if s.size else vt
-    return AffineSet(point=sol, directions=null)
-
-
 class _AffineOperator(MonotoneOperator):
     """A(x) = B x + b0 with B positive semidefinite.
 
-    Subclasses pass B and b0 to ``_set_affine`` in ``__post_init__``.
+    Subclasses pass B's name, B and b0 to ``_set_affine`` in ``__post_init__``.
     """
 
-    def _set_affine(self, bmat: np.ndarray, b0: np.ndarray) -> None:
-        object.__setattr__(self, "_bmat", bmat)
+    def _set_affine(self, name: str, b: np.ndarray, b0: np.ndarray, symmetric: bool = False) -> None:
+        """Keep B once, checked PSD (and symmetric if asked): its diagonal if nothing is off it, else the matrix."""
+        if b.ndim == 2 and b.shape[0] == b.shape[1] and np.count_nonzero(b) == np.count_nonzero(np.diagonal(b)):
+            b = np.diagonal(b).copy()
+        if b.ndim == 1:
+            least = float(b.min())  # a diagonal's eigenvalues are its entries
+            object.__setattr__(self, "jacobian_diagonal", b)
+            object.__setattr__(self, "_diagonal_min", least)
+        elif b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise ValueError(f"{name} must be a square matrix")
+        else:
+            least = float(np.min(np.linalg.eigvalsh(0.5 * (b + b.T))))
+        if not least >= PSD_EIG_TOL:
+            raise ValueError(f"{name} is not positive semidefinite")
+        if symmetric and b.ndim == 2 and not np.allclose(b, b.T, atol=1e-12):
+            raise ValueError(f"{name} must be symmetric")
+        object.__setattr__(self, "_bmat", b)
         object.__setattr__(self, "_b0", b0)
-        diag = np.diagonal(bmat).copy()
-        if np.array_equal(bmat, np.diag(diag)):
-            object.__setattr__(self, "jacobian_diagonal", diag)
-            object.__setattr__(self, "_diagonal_min", float(diag.min()))
 
     def evaluate(self, space, x):
-        if self.jacobian_diagonal is not None:
-            return self.jacobian_diagonal * x + self._b0
-        return self._bmat @ x + self._b0
+        return (self._bmat @ x if self.jacobian_diagonal is None else self._bmat * x) + self._b0
 
     def jacobian(self, space, x):
-        return self._bmat
+        return self._bmat if self.jacobian_diagonal is None else np.diag(self._bmat)
 
     def zero_set(self, space):
-        zs = _affine_zero_set(self._bmat, -self._b0)
-        if zs is None:
-            raise ValueError("operator has no zero: B x = -b0 is inconsistent")
-        return zs
+        b, rhs, no_zero = self._bmat, -self._b0, ValueError("operator has no zero: B x = -b0 is inconsistent")
+        if b.ndim == 1:
+            free = b == 0.0
+            if np.any(rhs[free]):
+                raise no_zero
+            # times the reciprocal, as lstsq gave the shipped configs bit for bit; the quotient is 1 ulp off in places
+            fixed = rhs * (1.0 / np.where(free, 1.0, b))
+            return Box(np.where(free, -np.inf, fixed), np.where(free, np.inf, fixed))
+        sol, *_ = np.linalg.lstsq(b, rhs, rcond=None)
+        if not np.allclose(b @ sol, rhs, atol=1e-8):
+            raise no_zero
+        _, s, vt = np.linalg.svd(b)
+        null = vt[s <= 1e-12 * max(float(s[0]), 1.0)] if s.size else vt
+        return AffineSet(point=sol, directions=null)
 
     def closed_form_resolvent(self, space, r, x, jx):
         if space.p != 2.0:
@@ -137,9 +137,9 @@ class LinearMonotone(_AffineOperator):
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _check_psd(self.m, "M"))
+        object.__setattr__(self, "m", np.asarray(self.m, dtype=float))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        self._set_affine(self.m, self.b)
+        self._set_affine("M", self.m, self.b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,13 +172,10 @@ class GradientOfQuadratic(_AffineOperator):
     c: np.ndarray
 
     def __post_init__(self):
-        q = _check_psd(self.q, "Q")
-        if not np.allclose(q, q.T, atol=1e-12):
-            raise ValueError("Q must be symmetric")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         # q @ x + (-c) equals q @ x - c bit for bit
-        self._set_affine(q, -self.c)
+        self._set_affine("Q", self.q, -self.c, symmetric=True)
 
 
 def duality_map_jacobian(space: LpSpace, x: np.ndarray, s: float | None = None):

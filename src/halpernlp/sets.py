@@ -281,6 +281,8 @@ class EuclideanBall(ConvexSet):
 
     def euclidean_project(self, x):
         x = self._check_dim(x, rows=True)
+        if self.radius == math.inf:  # the whole space, where R / max(||d||, R) would be NaN
+            return x.copy()
         d = x - self.center
         if x.ndim > 1:
             nd = np.linalg.norm(d, axis=-1, keepdims=True)
@@ -291,10 +293,10 @@ class EuclideanBall(ConvexSet):
         return self.center + (self.radius / nd) * d
 
     def contains(self, x, tol: float = tolerances.MEMBERSHIP_TOL) -> bool:
-        # the distance to the ball is max(||x - c||_2 - R, 0)
+        # the distance to the ball is max(||x - c||_2 - R, 0), and 0 for R = inf also where ||x - c||_2 overflows
         if tol < 0:
             raise ValueError("membership tolerance must be >= 0")
-        return float(np.linalg.norm(self._check_dim(x) - self.center)) - self.radius <= tol
+        return float(np.linalg.norm(self._check_dim(x) - self.center)) - self.radius <= tol or self.radius == math.inf
 
     def vi_bound(self, y, g, rho):
         r, ng = y - self.center, math.sqrt(g.dot(g))  # <z - c, g> <= R ||g||_2 on the ball
@@ -538,7 +540,7 @@ def generalized_projection(
         point, iters, stopped = cset.minimize_phi(space, x, jx)
 
     xx = float(x.dot(x))
-    if rng is None and xx < math.inf:  # an infinite rho makes the margin inf or NaN
+    if rng is None and (inside or xx < math.inf):  # an infinite rho makes the margin inf or NaN
         if not inside:  # inside, g = Jx - Jx = 0 and every bound is 0
             g = jx - _dual_map(point, space.p)  # not finite, so not certified, for a non-finite point
             rho = max(1.0, math.sqrt(xx), math.sqrt(float(point.dot(point)))) * _probe_reach(space.dim)

@@ -134,6 +134,17 @@ def test_run_rejects_an_anchor_whose_norm_overflows(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_an_operator_without_a_zero(tmp_path, capsys):
+    # q_3 = 0 with c_3 = 1e-9 has no zero; a least-squares fit once took it as
+    # a line of zeros, within its 1e-8 tolerance
+    path = tmp_path / "no_zero.yaml"
+    text = (CONFIG_DIR / "p4_line.yaml").read_text()
+    assert "c: [1.0, 1.0, 0.0]" in text
+    path.write_text(text.replace("c: [1.0, 1.0, 0.0]", "c: [1.0, 1.0, 1.0e-9]"))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 5
+    assert "operator has no zero" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf / inf in the norms
 def test_run_contains_a_non_finite_blend_after_the_first_step(tmp_path, capsys, monkeypatch):
     # from step 2 on the driver takes y_n = J^{-1} jy from the anchor blend jy

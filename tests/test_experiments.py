@@ -1,5 +1,6 @@
 """Config parsing, exit codes, trace files, suites, determinism."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,23 @@ def test_scaled_line_config_is_accepted(lam):
         raw[section][key] = [lam * v for v in raw[section][key]]
     raw["budgets"]["stop_tol"] *= lam
     np.testing.assert_allclose(config_from_dict(raw).halpern.reference, lam * w, rtol=1e-12)
+
+
+def test_a_diagonal_operator_config_builds_in_o_dim_memory():
+    # at dim 1e4 one dense B is 800 MB; q_diag stays a vector through the
+    # zero set, a box, and the reference projection onto it
+    dim = 10_000
+    raw = yaml.safe_load((CONFIG_DIR / "p1.yaml").read_text())
+    raw["space"]["dim"] = dim
+    raw["operator"]["q_diag"] = np.linspace(0.1, 1.0, dim).tolist()
+    raw["operator"]["c"] = np.random.default_rng(0).standard_normal(dim).tolist()
+    tracemalloc.start()
+    try:
+        config_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000_000
 
 
 def test_seed_override_changes_seeded_points():

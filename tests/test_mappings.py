@@ -9,6 +9,7 @@ from halpernlp import (
     AlternatingSchedule,
     BlendMap,
     BlendSequence,
+    Box,
     ConstantSchedule,
     DriftSchedule,
     DualityResidual,
@@ -67,14 +68,21 @@ def srns_diagnostic(space: LpSpace, seq: MappingSequence, xs, p_hat) -> SrnsRepo
 
 
 def reference_points(ref, rng=None):
-    """Materialize an affine fixed-point set as a list of concrete points
-    (one for a singleton, five otherwise)."""
+    """Materialize an affine or box fixed-point set as a list of concrete
+    points: one for a singleton, five otherwise.  A box keeps its fixed
+    coordinates and draws on its free ones."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if isinstance(ref, Box):
+        if np.array_equal(ref.lo, ref.hi):
+            return [ref.lo.copy()]
+        return [ref.euclidean_project(np.zeros(ref.dim))] + [
+            ref.euclidean_project(rng.standard_normal(ref.dim)) for _ in range(4)
+        ]
     k = ref.directions.shape[0]
     if k == 0:
         return [ref.point]
     pts = [ref.point.copy()]
-    if rng is None:
-        rng = np.random.default_rng(0)
     for _ in range(4):
         pts.append(ref.point + rng.standard_normal(k) @ ref.directions)
     return pts
@@ -161,7 +169,7 @@ class TestApply:
         # F(S) = F(T) for beta < 1, both directions on the reference point
         inner = ResolventMap(op=quad_op, r=1.0)
         s = BlendMap(inner=inner, beta=0.5)
-        z = quad_op.zero_set(space).point
+        z = quad_op.zero_set(space).euclidean_project(np.zeros(2))
         assert np.linalg.norm(s.apply(space, z).point - z) <= 1e-7
         # a fixed point of S is a fixed point of T
         x = np.array([1.5, -0.5])
@@ -195,7 +203,7 @@ class TestSequences:
 
     def test_common_fixed_point(self, space, quad_op):
         seq = ResolventSequence(op=quad_op, r_schedule=ConstantSchedule(1.0))
-        z = quad_op.zero_set(space).point
+        z = quad_op.zero_set(space).euclidean_project(np.zeros(2))
         for n in (1, 5, 50):
             assert np.linalg.norm(apply_indexed(space, seq, n, z).point - z) <= 1e-8
 
@@ -340,7 +348,7 @@ def test_numeric_check_memory_is_bounded(validate, sched):
 class TestSrnsDiagnostic:
     def test_constant_fixed_point_sequence(self, space, quad_op):
         seq = ResolventSequence(op=quad_op, r_schedule=ConstantSchedule(1.0))
-        z = quad_op.zero_set(space).point
+        z = quad_op.zero_set(space).euclidean_project(np.zeros(2))
         report = srns_diagnostic(space, seq, [z] * 20, z)
         np.testing.assert_allclose(report.d, 0.0, atol=1e-12)
         np.testing.assert_allclose(report.e, 0.0, atol=1e-12)
@@ -349,7 +357,7 @@ class TestSrnsDiagnostic:
     def test_resolvent_iterates_no_flag(self, space, quad_op, rng):
         # feed iterates of the resolvent itself: d_n -> 0 alongside e_n -> 0
         seq = ResolventSequence(op=quad_op, r_schedule=ConstantSchedule(1.0))
-        z = quad_op.zero_set(space).point
+        z = quad_op.zero_set(space).euclidean_project(np.zeros(2))
         xs = []
         x = rng.standard_normal(2) * 2
         for _ in range(200):
@@ -362,7 +370,7 @@ class TestSrnsDiagnostic:
     def test_adversarial_constant_sequence_vacuous(self, space, quad_op):
         # x_n constant away from F: premise d_n -> 0 unmet, so no flag
         seq = ResolventSequence(op=quad_op, r_schedule=ConstantSchedule(1.0))
-        z = quad_op.zero_set(space).point
+        z = quad_op.zero_set(space).euclidean_project(np.zeros(2))
         x0 = z + np.array([3.0, -2.0])
         report = srns_diagnostic(space, seq, [x0] * 30, z)
         assert np.min(report.d) > 1e-6  # premise fails

@@ -1,14 +1,17 @@
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from conftest import P_GRID
 from scipy.optimize import root
 
 from halpernlp import (
     AffineSet,
+    Box,
     DualityResidual,
     GradientOfQuadratic,
     LinearMonotone,
@@ -18,6 +21,8 @@ from halpernlp import (
 from halpernlp.geometry import NormedPoint, _normed
 from halpernlp import geometry, operators, tolerances
 from halpernlp.operators import ResolventResult, duality_map_jacobian, resolvent
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def sample_operators(dim=2):
@@ -79,15 +84,22 @@ class TestZeroSet:
         np.testing.assert_allclose(DualityResidual(z=z).zero_set(sp).point, z)
 
     def test_invertible_linear(self):
+        # M = I is diagonal, so its zero set is a box with every coordinate fixed
         sp = LpSpace(2, 2.0)
         op = LinearMonotone(m=np.eye(2), b=np.array([-1.0, -2.0]))
-        np.testing.assert_allclose(op.zero_set(sp).point, [1.0, 2.0])
+        zs = op.zero_set(sp)
+        assert isinstance(zs, Box)
+        np.testing.assert_array_equal(zs.lo, zs.hi)
+        np.testing.assert_allclose(zs.lo, [1.0, 2.0])
 
     def test_singular_quadratic_gives_line(self):
+        # the zero set of a diagonal Q with a zero entry is a box free there
         sp = LpSpace(2, 2.0)
         op = GradientOfQuadratic(q=np.diag([2.0, 0.0]), c=np.array([4.0, 0.0]))
         zs = op.zero_set(sp)
-        assert isinstance(zs, AffineSet)
+        assert isinstance(zs, Box)
+        np.testing.assert_array_equal(zs.lo, [2.0, -np.inf])
+        np.testing.assert_array_equal(zs.hi, [2.0, np.inf])
         np.testing.assert_allclose(zs.euclidean_project(np.array([7.0, 3.0])), [2.0, 3.0])
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -104,6 +116,85 @@ class TestZeroSet:
         op = GradientOfQuadratic(q=np.diag([2.0, 0.0]), c=np.array([4.0, 1.0]))
         with pytest.raises(ValueError):
             op.zero_set(sp)
+
+
+class TestDiagonalForm:
+    """A diagonal B is kept as its vector, from the constructor to the zero set."""
+
+    def test_vector_and_diagonal_matrix_agree_bit_for_bit(self, rng):
+        v = np.array([0.1, 0.7, 0.0, 1.3, 2.5])
+        c = rng.standard_normal(5) * (v > 0)  # no zero needs c_i = 0 where q_i = 0
+        ops = [GradientOfQuadratic(q=v, c=c), GradientOfQuadratic(q=np.diag(v), c=c)]
+        assert all(op.jacobian_diagonal.shape == (5,) for op in ops)
+        x = rng.standard_normal(5)
+        for p in (1.5, 3.0, 6.0):
+            sp = LpSpace(5, p)
+            a, b = (op.evaluate(sp, x) for op in ops)
+            assert a.tobytes() == b.tobytes()
+            a, b = (resolvent(sp, op, 0.7, x) for op in ops)
+            assert a.point.tobytes() == b.point.tobytes()
+            assert (a.residual, a.inner_iterations) == (b.residual, b.inner_iterations)
+            a, b = (op.zero_set(sp) for op in ops)
+            assert (a.lo.tobytes(), a.hi.tobytes()) == (b.lo.tobytes(), b.hi.tobytes())
+
+    def test_no_dense_solve_builds_a_diagonal_operator_or_its_zero_set(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense routine called")
+
+        for name in ("eigvalsh", "lstsq", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np, "diag", refuse)
+        op = GradientOfQuadratic(q=np.array([0.5, 0.0, 2.0]), c=np.array([1.0, 0.0, -1.0]))
+        assert isinstance(op.zero_set(LpSpace(3, 3.0)), Box)
+
+    def test_the_fixed_bounds_are_lstsq_bytes(self):
+        # -b0_i (1/B_i) is the solution lstsq gave on the shipped q and c and on
+        # permuted linspace q; the quotient -b0_i / B_i is 1 ulp off in places
+        raw = yaml.safe_load((CONFIG_DIR / "p1.yaml").read_text())["operator"]
+        cases = [(np.array(raw["q_diag"]), np.array(raw["c"]))]
+        for seed in range(1, 6):
+            r = np.random.default_rng(seed)
+            cases.append((r.permutation(np.linspace(0.1, 1.0, 200)), r.standard_normal(200)))
+        for q, c in cases:
+            zs = GradientOfQuadratic(q=q, c=c).zero_set(LpSpace(q.size, 3.0))
+            assert isinstance(zs, Box)
+            sol = np.linalg.lstsq(np.diag(q), c, rcond=None)[0]
+            assert zs.lo.tobytes() == zs.hi.tobytes() == sol.tobytes()
+
+    def test_a_zero_entry_is_free_only_where_c_vanishes(self):
+        # the rule is exact: a least-squares fit took c_2 = 1e-9 as 0, and a
+        # singular-value cutoff took q_2 = 1e-13 as 0
+        sp = LpSpace(2, 3.0)
+        with pytest.raises(ValueError, match="no zero"):
+            GradientOfQuadratic(q=np.array([1.0, 0.0]), c=np.array([1.0, 1e-9])).zero_set(sp)
+        zs = GradientOfQuadratic(q=np.array([1.0, 1e-13]), c=np.array([1.0, 0.0])).zero_set(sp)
+        np.testing.assert_array_equal(zs.lo, [1.0, 0.0])
+        np.testing.assert_array_equal(zs.hi, [1.0, 0.0])
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_psd_tolerance_is_on_the_least_eigenvalue(self, dense):
+        # a dense B rotates the diagonal, which eigvalsh recovers to about 1e-16;
+        # a least eigenvalue of -1e-8 at unit scale is no rounding of 0
+        rot = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+        tol = operators.PSD_EIG_TOL
+        for least, accepted in ((0.5 * tol, True), (2.0 * tol, False), (-1e-8, False)):
+            d = np.array([1.0, 0.5, least])
+            q = rot @ np.diag(d) @ rot.T if dense else d
+            q = 0.5 * (q + q.T) if dense else q
+            if accepted:
+                GradientOfQuadratic(q=q, c=np.zeros(3))
+            else:
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    GradientOfQuadratic(q=q, c=np.zeros(3))
+
+    def test_dense_zero_set_consistency_tolerance(self):
+        # lstsq's best fit to B x = (d, -d) for B = [[1, 1], [1, 1]] is 0, off by d
+        # in each row: atol 1e-8 accepts 5e-9 and rejects 2e-8 (rtol adds 1e-5 d)
+        sp, m = LpSpace(2, 2.0), np.ones((2, 2))
+        zs = GradientOfQuadratic(q=m, c=np.array([5e-9, -5e-9])).zero_set(sp)
+        assert isinstance(zs, AffineSet) and zs.directions.shape == (1, 2)
+        with pytest.raises(ValueError, match="no zero"):
+            GradientOfQuadratic(q=m, c=np.array([2e-8, -2e-8])).zero_set(sp)
 
 
 class TestResolvent:
@@ -139,8 +230,7 @@ class TestResolvent:
         for p in [2.0, 3.0]:
             sp = LpSpace(2, p)
             for op in sample_operators():
-                zs = op.zero_set(sp)
-                z = zs.point if isinstance(zs, AffineSet) else zs
+                z = op.zero_set(sp).euclidean_project(np.zeros(2))
                 for r in [0.1, 1.0, 10.0]:
                     res = resolvent(sp, op, r, z)
                     assert np.linalg.norm(res.point - z) <= 1e-7
@@ -182,8 +272,7 @@ class TestResolvent:
         for p in [2.0, 3.0]:
             sp = LpSpace(2, p)
             for op in sample_operators():
-                zs = op.zero_set(sp)
-                u = zs.point if isinstance(zs, AffineSet) else zs
+                u = op.zero_set(sp).euclidean_project(np.zeros(2))
                 for r in [0.1, 1.0, 10.0]:
                     for _ in range(20):
                         x = rng.standard_normal(2) * 2

@@ -746,6 +746,34 @@ class TestGeneralizedProjection:
             assert cset.vi_residual(sp, x, proj, batched) == pytest.approx(worst, rel=1e-12, abs=1e-15)
             assert batched.standard_normal() == probes.standard_normal()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # ||x - c||_2 overflows
+    def test_an_infinite_ball_is_the_whole_space(self):
+        # configs accept radius: .inf; R / max(||x - c||, R) was NaN there
+        ball = EuclideanBall(center=np.zeros(3), radius=np.inf)
+        rows = np.array([[1.0, -2.0, 3.0], [1e300, 1e300, -1e300]])
+        np.testing.assert_array_equal(ball.euclidean_project(rows), rows)
+        assert ball.contains(np.full(3, 1e160)) and ball.contains(np.full(3, 1e300))
+        res = generalized_projection(LpSpace(3, 3.0), ball, rows[0], rng=np.random.default_rng(0))
+        assert res.converged and res.vi_residual == 0.0
+        np.testing.assert_array_equal(res.point, rows[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # ||x||_2^2 overflows
+    @pytest.mark.parametrize(
+        "cset",
+        [
+            EuclideanBall(center=np.zeros(3), radius=np.inf),
+            Box(lo=np.full(3, -np.inf), hi=np.full(3, np.inf)),
+            HalfSpace(a=np.ones(3), b=1e301),
+        ],
+        ids=["ball", "box", "half_space"],
+    )
+    def test_an_inside_point_certifies_when_its_2_norm_overflows(self, cset):
+        # inside, Jx - J(proj) = 0 and every bound is 0: no margin is formed
+        x = np.full(3, 1e300)
+        res = generalized_projection(LpSpace(3, 3.0), cset, x)
+        assert res.converged and res.inner_iterations == 0
+        np.testing.assert_array_equal(res.point, x)
+
 
 def box_vi_gap(space, box, x, y):
     """Exact max of <z - y, Jx - Jy> over the box points z within sup-distance
